@@ -9,13 +9,12 @@ estimates, fixed-point contraction, and the vanishing-relaxation-time limit.
 from .assembly import (
     CoefficientField,
     HarmonicLift,
-    SystemMatrices,
     TimeVaryingMass,
     assemble_boundary,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    assemble_system,
+    clamp_h,
     constant_field,
     field_from_trajectory,
     harmonic_extension,
@@ -72,14 +71,12 @@ from .model import (
     ModelParams,
     SolverConfig,
     WindowedSignal,
-    derived_b,
     signal_eval,
     validate_compatibility,
 )
 from .nonlinear import (
     NonlinearVariant,
     PicardReport,
-    clamp_h,
     degeneracy_check,
     solve_jmgt,
     solve_westervelt_nonlinear,

@@ -8,7 +8,7 @@ M(t)_ij = (alpha w_i, w_j); everything else is time-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -23,16 +23,15 @@ if TYPE_CHECKING:
 __all__ = [
     "CoefficientField",
     "TimeVaryingMass",
-    "SystemMatrices",
     "HarmonicLift",
     "assemble_stiffness",
     "assemble_mass",
     "assemble_boundary",
     "assemble_load",
-    "assemble_system",
     "harmonic_extension",
     "lift_forcing",
     "constant_field",
+    "clamp_h",
     "field_from_trajectory",
 ]
 
@@ -42,17 +41,16 @@ SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Coefficient alpha(x, t) with its spatial and temporal derivatives.
+    """Coefficient alpha(x, t), optionally with its spatial and temporal derivatives.
 
     Evaluators take an ndarray of positions and a scalar time and return an
-    array of the same shape.  ``provenance`` records whether the field is a
-    closed-form expression or was reconstructed from a stored trajectory.
+    array of the same shape.  The solvers read only ``value``, and only at
+    the grid times of a run.
     """
 
     value: SpaceTimeFn
-    space_derivative: SpaceTimeFn
-    time_derivative: SpaceTimeFn
-    provenance: str = "analytic"
+    space_derivative: SpaceTimeFn | None = None
+    time_derivative: SpaceTimeFn | None = None
 
 
 def constant_field(value: float = 1.0) -> CoefficientField:
@@ -61,20 +59,16 @@ def constant_field(value: float = 1.0) -> CoefficientField:
     def _value(x, t):
         return np.full_like(np.asarray(x, dtype=float), value)
 
-    def _zero(x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    return CoefficientField(value=_value, space_derivative=_zero, time_derivative=_zero)
+    return CoefficientField(value=_value)
 
 
-def _interp_rows(times: np.ndarray, rows: np.ndarray, t: float) -> np.ndarray:
-    """Linear-in-time interpolation of a (steps, n) coefficient history."""
-    t = min(max(float(t), times[0]), times[-1])
-    j = int(np.searchsorted(times, t, side="right")) - 1
-    j = min(max(j, 0), len(times) - 2)
-    span = times[j + 1] - times[j]
-    theta = 0.0 if span == 0.0 else (t - times[j]) / span
-    return (1.0 - theta) * rows[j] + theta * rows[j + 1]
+def clamp_h(s, k: float):
+    """Bounded coefficient h(s) = 1 - clamp(2ks, -1, 1), with range [0, 2].
+
+    Coincides with 1 - 2ks whenever |2ks| <= 1, so the relaxation is inactive
+    on non-degenerate states.
+    """
+    return 1.0 - np.clip(2.0 * k * np.asarray(s, dtype=float), -1.0, 1.0)
 
 
 def field_from_trajectory(
@@ -83,53 +77,33 @@ def field_from_trajectory(
     k: float,
     clamped: bool = False,
 ) -> CoefficientField:
-    """Coefficient field alpha = 1 - 2k*psi_t (optionally clamped) of a stored run.
+    """Coefficient field alpha = 1 - 2k*psi_t (or clamp_h(psi_t, k)) of a stored run.
 
-    psi_t is reconstructed from the stored first-derivative coefficients with
-    linear interpolation between time steps (first order in dt).  With
-    ``clamped`` the argument 2k*psi_t is clipped to [-1, 1] before being
-    subtracted, which keeps alpha in [0, 2] regardless of the data.
+    The field exists only at the trajectory's own grid times, where psi_t is
+    the stored first-derivative series; any other time raises ValueError.
     """
     times = traj.times
     coeff_t = traj.coeff_t
-    coeff_tt = traj.coeff_tt
-
-    def _velocity(x, t, rows):
-        modes = mode_matrix(basis, np.atleast_1d(np.asarray(x, dtype=float)))
-        return _interp_rows(times, rows, t) @ modes
 
     def _value(x, t):
-        s = 2.0 * k * _velocity(x, t, coeff_t)
-        if clamped:
-            s = np.clip(s, -1.0, 1.0)
-        return 1.0 - s
+        m = int(np.searchsorted(times, t))
+        if m == len(times) or times[m] != t:
+            raise ValueError(f"t = {t} is not a grid time of the trajectory")
+        velocity = coeff_t[m] @ mode_matrix(basis, np.atleast_1d(np.asarray(x, dtype=float)))
+        return clamp_h(velocity, k) if clamped else 1.0 - 2.0 * k * velocity
 
-    def _saturation_mask(x, t):
-        s = 2.0 * k * _velocity(x, t, coeff_t)
-        return np.abs(s) >= 1.0 if clamped else np.zeros(s.shape, dtype=bool)
+    return CoefficientField(value=_value)
 
-    def _space_derivative(x, t):
-        modes = mode_matrix(basis, np.atleast_1d(np.asarray(x, dtype=float)), deriv=1)
-        grad = -2.0 * k * (_interp_rows(times, coeff_t, t) @ modes)
-        return np.where(_saturation_mask(x, t), 0.0, grad)
 
-    def _time_derivative(x, t):
-        rate = -2.0 * k * _velocity(x, t, coeff_tt)
-        return np.where(_saturation_mask(x, t), 0.0, rate)
-
-    return CoefficientField(
-        value=_value,
-        space_derivative=_space_derivative,
-        time_derivative=_time_derivative,
-        provenance="trajectory",
-    )
+def _weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Symmetrized quadrature Gram matrix sum_q rows[i, q] weights[q] rows[j, q]."""
+    matrix = np.einsum("iq,q,jq->ij", rows, weights, rows)
+    return 0.5 * (matrix + matrix.T)
 
 
 def assemble_stiffness(basis: SpectralBasis, quad: QuadratureRule) -> np.ndarray:
     """Stiffness K_ij = integral of w_i' w_j' (diag of eigenvalues to roundoff)."""
-    grads = mode_matrix(basis, quad.nodes, deriv=1)
-    matrix = np.einsum("iq,q,jq->ij", grads, quad.weights, grads)
-    return 0.5 * (matrix + matrix.T)
+    return _weighted_gram(mode_matrix(basis, quad.nodes, deriv=1), quad.weights)
 
 
 def assemble_mass(
@@ -139,11 +113,8 @@ def assemble_mass(
     t: float,
 ) -> np.ndarray:
     """Mass matrix M(t)_ij = integral of alpha(x, t) w_i w_j."""
-    modes = mode_matrix(basis, quad.nodes)
-    alpha = np.asarray(field.value(quad.nodes, t), dtype=float)
-    alpha = np.broadcast_to(alpha, quad.nodes.shape)
-    matrix = np.einsum("iq,q,jq->ij", modes, quad.weights * alpha, modes)
-    return 0.5 * (matrix + matrix.T)
+    alpha = np.broadcast_to(np.asarray(field.value(quad.nodes, t), dtype=float), quad.nodes.shape)
+    return _weighted_gram(mode_matrix(basis, quad.nodes), quad.weights * alpha)
 
 
 def assemble_boundary(basis: SpectralBasis, end: End) -> np.ndarray:
@@ -157,34 +128,32 @@ def assemble_boundary(basis: SpectralBasis, end: End) -> np.ndarray:
 
 
 class TimeVaryingMass:
-    """Mass-matrix sampler with per-time caching of the coefficient values.
+    """Mass matrices M(t_m) of one run on its time grid.
 
-    Caches alpha evaluated at the quadrature nodes keyed by the query time,
-    so re-sampling the same grid times (stepping plus third-derivative
-    recovery) evaluates the field once per step.  A cache instance belongs to
-    one run; the underlying basis and quadrature may be shared read-only.
+    The field is evaluated once per grid time at the quadrature nodes when
+    the sampler is built; ``matrix(m)`` and ``alpha_values(m)`` index by
+    step.  A sampler belongs to one run; the underlying basis and quadrature
+    may be shared read-only.
     """
 
-    def __init__(self, basis: SpectralBasis, quad: QuadratureRule, field: CoefficientField):
-        self.basis = basis
+    def __init__(
+        self,
+        basis: SpectralBasis,
+        quad: QuadratureRule,
+        field: CoefficientField,
+        times: np.ndarray,
+    ):
         self.quad = quad
-        self.field = field
         self._modes = mode_matrix(basis, quad.nodes)
-        self._alpha_cache: dict[float, np.ndarray] = {}
+        self._alpha = np.empty((len(times), quad.nodes.size))
+        for m, t in enumerate(times):
+            self._alpha[m] = field.value(quad.nodes, float(t))
 
-    def alpha_values(self, t: float) -> np.ndarray:
-        key = float(t)
-        cached = self._alpha_cache.get(key)
-        if cached is None:
-            values = np.asarray(self.field.value(self.quad.nodes, key), dtype=float)
-            cached = np.broadcast_to(values, self.quad.nodes.shape).copy()
-            self._alpha_cache[key] = cached
-        return cached
+    def alpha_values(self, m: int) -> np.ndarray:
+        return self._alpha[m]
 
-    def matrix(self, t: float) -> np.ndarray:
-        alpha = self.alpha_values(t)
-        matrix = np.einsum("iq,q,jq->ij", self._modes, self.quad.weights * alpha, self._modes)
-        return 0.5 * (matrix + matrix.T)
+    def matrix(self, m: int) -> np.ndarray:
+        return _weighted_gram(self._modes, self.quad.weights * self.alpha_values(m))
 
 
 def assemble_load(
@@ -209,37 +178,6 @@ def assemble_load(
         g1 = signal_eval(g, t, 1)
         load += (params.c2 * g0 + params.b * g1) * trace_vector(basis, End.LEFT)
     return load
-
-
-@dataclass(frozen=True)
-class SystemMatrices:
-    """Time-independent operators of one run plus its load assembler."""
-
-    stiffness: np.ndarray
-    boundary_left: np.ndarray
-    boundary_right: np.ndarray
-    load: Callable[[float], np.ndarray] = dataclass_field(repr=False)
-
-
-def assemble_system(
-    basis: SpectralBasis,
-    quad: QuadratureRule,
-    f: SpaceTimeFn | None,
-    g: WindowedSignal | None,
-    params: ModelParams,
-    bc: BoundaryKind = BoundaryKind.PURE_NEUMANN,
-) -> SystemMatrices:
-    """Bundle stiffness, both boundary matrices, and the load closure."""
-
-    def load(t: float) -> np.ndarray:
-        return assemble_load(basis, quad, f, g, params, t, bc)
-
-    return SystemMatrices(
-        stiffness=assemble_stiffness(basis, quad),
-        boundary_left=assemble_boundary(basis, End.LEFT),
-        boundary_right=assemble_boundary(basis, End.RIGHT),
-        load=load,
-    )
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,17 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .assembly import constant_field
-from .basis import build_basis
+from .basis import SpectralBasis, build_basis
 from .config import ExperimentConfig, parse_config
 from .energy import (
     AuditMode,
+    AuditReport,
     BoundaryFlux,
     EnergyRecord,
     audit_estimate,
@@ -34,20 +35,18 @@ from .energy import (
 )
 from .exceptions import ConfigFileError, NonDegeneracyViolated, SolverFailure
 from .integrate import Trajectory, solve_smgt_linear, solve_westervelt_linearized
-from .model import BoundaryKind
 from .nonlinear import NonlinearVariant, PicardReport, solve_jmgt, solve_westervelt_nonlinear
 
 __all__ = ["main", "run", "limit_study", "mms_study", "LimitRow", "LimitStudyResult", "MmsRow"]
 
-SUBCOMMANDS = (
-    "solve-linear",
-    "solve-jmgt",
-    "solve-relaxed",
-    "solve-westervelt",
-    "limit-study",
-    "energy-audit",
-    "mms",
-)
+#: Variant solved by each single-run subcommand; None is the alpha = 1 linear solve.
+_SOLVE_VARIANTS = {
+    "solve-linear": None,
+    "solve-jmgt": NonlinearVariant.FULL_JMGT,
+    "solve-relaxed": NonlinearVariant.RELAXED_JMGT,
+    "solve-westervelt": NonlinearVariant.WESTERVELT,
+}
+SUBCOMMANDS = (*_SOLVE_VARIANTS, "limit-study", "energy-audit", "mms")
 
 #: Signal-derivative order carried in the data-norm bundles of the reports.
 MAX_DATA_ORDER = 4
@@ -190,7 +189,9 @@ def mms_study(config: ExperimentConfig) -> tuple[list[MmsRow], Trajectory]:
 
     The exact solution is t^3 * cos(pi x / L), a single basis mode, so the
     spatial error vanishes and the table isolates the temporal order.  dt is
-    halved ``mms_levels - 1`` times starting from the configured step.
+    halved ``mms_levels - 1`` times starting from the configured step.  The
+    runs are pure Neumann whatever ``bc`` says: the solution has zero flux at
+    both ends.
     """
     if config.solver.n_modes < 2:
         raise ConfigFileError(["mms requires n_modes >= 2"])
@@ -200,20 +201,19 @@ def mms_study(config: ExperimentConfig) -> tuple[list[MmsRow], Trajectory]:
     amp = math.sqrt(basis.length / 2.0)  # cos(pi x / L) = amp * w_1
     kappa = math.pi / basis.length
 
-    def forcing_third(x, t):
-        gain = 6.0 * params.tau + 6.0 * t + lam1 * (3.0 * params.b * t**2 + params.c2 * t**3)
-        return gain * np.cos(kappa * np.asarray(x, dtype=float))
+    def forcing_for(p):
+        def source(x, t):
+            gain = 6.0 * p.tau + 6.0 * t + lam1 * (3.0 * p.b * t**2 + p.c2 * t**3)
+            return gain * np.cos(kappa * np.asarray(x, dtype=float))
 
-    def forcing_second(x, t):
-        gain = 6.0 * t + lam1 * (3.0 * params.delta * t**2 + params.c2 * t**3)
-        return gain * np.cos(kappa * np.asarray(x, dtype=float))
+        return source
 
     field = constant_field(1.0)
     rows: list[MmsRow] = []
     finest: Trajectory | None = None
     for solver_name, solve, forcing in (
-        ("smgt", solve_smgt_linear, forcing_third),
-        ("westervelt", solve_westervelt_linearized, forcing_second),
+        ("smgt", solve_smgt_linear, forcing_for(params)),
+        ("westervelt", solve_westervelt_linearized, forcing_for(replace(params, tau=0.0))),
     ):
         previous_error = None
         for level in range(config.mms_levels):
@@ -243,19 +243,21 @@ def _picard_report_rows(report: PicardReport) -> list[list]:
     return rows
 
 
-def _audit_rows(
-    config: ExperimentConfig,
-    traj: Trajectory,
-    lower: EnergyRecord,
-    higher: EnergyRecord,
-) -> list[list]:
+def _audits(config: ExperimentConfig, traj: Trajectory, basis: SpectralBasis) -> list[AuditReport]:
+    """Audit reports of one run, in every mode that applies (TauDependent needs tau > 0)."""
     bundle = data_norms(config.signal, None, traj.params, config.solver, max_order=MAX_DATA_ORDER)
+    lower, higher = energy_lower(traj, basis), energy_higher(traj, basis)
+    return [
+        audit_estimate(higher if mode is AuditMode.HIGHER else lower, bundle, mode)
+        for mode in AuditMode
+        if mode is not AuditMode.TAU_DEPENDENT or traj.params.tau > 0.0
+    ]
+
+
+def _audit_rows(config: ExperimentConfig, traj: Trajectory, basis: SpectralBasis) -> list[list]:
     rows: list[list] = []
-    for mode in (AuditMode.TAU_DEPENDENT, AuditMode.TAU_UNIFORM, AuditMode.HIGHER):
-        if mode is AuditMode.TAU_DEPENDENT and traj.params.tau <= 0.0:
-            continue
-        record = higher if mode is AuditMode.HIGHER else lower
-        report = audit_estimate(record, bundle, mode)
+    for report in _audits(config, traj, basis):
+        mode = report.mode
         rows.append(["audit", f"{mode.value}_ratio", report.ratio])
         if report.log_constant is not None:
             rows.append(["audit", f"{mode.value}_log_constant", report.log_constant])
@@ -264,30 +266,50 @@ def _audit_rows(
     return rows
 
 
-def _solve_for_subcommand(subcommand: str, config: ExperimentConfig):
-    basis = build_basis(config.length, config.solver.n_modes)
-    g = config.signal
-    if subcommand == "solve-linear":
+def _single_run(
+    subcommand: str, config: ExperimentConfig, basis: SpectralBasis
+) -> tuple[Trajectory, list[list]]:
+    variant = _SOLVE_VARIANTS[subcommand]
+    rows: list[list] = []
+    if variant is None:
         traj = solve_smgt_linear(
-            config.params, basis, constant_field(1.0), None, g, config.solver, config.bc
+            config.params, basis, constant_field(1.0), None, config.signal, config.solver, config.bc
         )
-        return basis, traj, None
-    if subcommand == "solve-jmgt":
-        traj, report = solve_jmgt(
-            config.params, basis, None, g, config.solver, config.bc, NonlinearVariant.FULL_JMGT
+    else:
+        traj, picard = solve_jmgt(
+            config.params, basis, None, config.signal, config.solver, config.bc, variant
         )
-        return basis, traj, report
-    if subcommand == "solve-relaxed":
-        traj, report = solve_jmgt(
-            config.params, basis, None, g, config.solver, config.bc, NonlinearVariant.RELAXED_JMGT
+        rows += _picard_report_rows(picard)
+    rows += _audit_rows(config, traj, basis)
+    return traj, rows
+
+
+def _energy_audit(
+    config: ExperimentConfig, basis: SpectralBasis, taus: tuple[float, ...]
+) -> tuple[Trajectory, list[list]]:
+    """Audit table over ``taus``; returns the first run for the artifacts."""
+    first: Trajectory | None = None
+    table = []
+    for tau in taus:
+        params_tau = replace(config.params, tau=tau)
+        traj = solve_smgt_linear(
+            params_tau, basis, constant_field(1.0), None, config.signal, config.solver, config.bc
         )
-        return basis, traj, report
-    if subcommand == "solve-westervelt":
-        traj, report = solve_westervelt_nonlinear(
-            config.params, basis, None, g, config.solver, config.bc
-        )
-        return basis, traj, report
-    raise AssertionError(subcommand)
+        if first is None:
+            first = traj
+        for report in _audits(config, traj, basis):
+            table.append(
+                [
+                    tau,
+                    report.mode.value,
+                    report.lhs_total,
+                    report.rhs_total,
+                    report.ratio,
+                    report.log_constant,
+                    ";".join(report.flags),
+                ]
+            )
+    return first, table
 
 
 def _failure_rows(exc: SolverFailure) -> list[list]:
@@ -307,20 +329,15 @@ def run(
 ) -> int:
     """Execute one subcommand, writing CSV artifacts into ``out_dir``.
 
-    Returns the process exit code.  On solver failure the partial trajectory
-    and energy outputs are removed and report.csv describes the failure.
+    Returns the process exit code.  Every solve finishes before any artifact
+    is written; on solver failure only report.csv is written, describing the
+    failure.
     """
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trajectory_path = out / "trajectory.csv"
-    energy_path = out / "energy.csv"
     report_path = out / "report.csv"
-
-    def say(message: str) -> None:
-        if not quiet:
-            print(message)
 
     for warning in config.warnings:
         if not quiet:
@@ -336,127 +353,30 @@ def run(
         print("config error: limit-study requires tau_sweep in [experiment]", file=sys.stderr)
         return 1
 
-    written: list[Path] = []
+    basis = build_basis(config.length, config.solver.n_modes)
     try:
-        if subcommand in ("solve-linear", "solve-jmgt", "solve-relaxed", "solve-westervelt"):
-            basis, traj, picard = _solve_for_subcommand(subcommand, config)
-            lower = energy_lower(traj, basis)
-            higher = energy_higher(traj, basis)
-            flux = (
-                boundary_flux(traj, traj.params, basis)
-                if config.bc is BoundaryKind.MIXED
-                else None
-            )
-            _write_trajectory(trajectory_path, traj)
-            written.append(trajectory_path)
-            _write_energy(energy_path, lower, higher, flux)
-            written.append(energy_path)
-            rows: list[list] = []
-            if picard is not None:
-                rows += _picard_report_rows(picard)
-            rows += _audit_rows(config, traj, lower, higher)
-            _write_csv(report_path, ["section", "key", "value"], rows)
-            say(f"{subcommand}: {traj.n_steps} steps, artifacts in {out}")
-            return 0
-
-        if subcommand == "limit-study":
-            result, reference = limit_study(config)
-            basis = build_basis(config.length, config.solver.n_modes)
-            _write_trajectory(trajectory_path, reference)
-            written.append(trajectory_path)
-            _write_energy(
-                energy_path, energy_lower(reference, basis), energy_higher(reference, basis)
-            )
-            written.append(energy_path)
-            header = [
-                "tau",
-                "velocity_error",
-                "energy_error",
-                "picard_iterations",
-                "degeneracy_margin",
-                "reference_iterations",
-                "reference_margin",
-            ]
-            table = [
-                [
-                    row.tau,
-                    row.velocity_error,
-                    row.energy_error,
-                    row.picard_iterations,
-                    row.degeneracy_margin,
-                    result.reference_iterations,
-                    result.reference_margin,
-                ]
-                for row in result.rows
-            ]
-            _write_csv(report_path, header, table)
-            say(f"limit-study: {len(result.rows)} sweep members, artifacts in {out}")
-            return 0
-
-        if subcommand == "energy-audit":
-            basis = build_basis(config.length, config.solver.n_modes)
+        if subcommand in _SOLVE_VARIANTS:
+            traj, table = _single_run(subcommand, config, basis)
+            header = ["section", "key", "value"]
+            summary = f"{traj.n_steps} steps"
+        elif subcommand == "limit-study":
+            result, traj = limit_study(config)
+            header = [f.name for f in fields(LimitRow)]
+            header += ["reference_iterations", "reference_margin"]
+            reference = [result.reference_iterations, result.reference_margin]
+            table = [[*astuple(row), *reference] for row in result.rows]
+            summary = f"{len(result.rows)} sweep members"
+        elif subcommand == "energy-audit":
             taus = (config.params.tau,) if config.tau_sweep is None else config.tau_sweep
-            table = []
-            base_written = False
-            for tau in taus:
-                params_tau = replace(config.params, tau=tau)
-                traj = solve_smgt_linear(
-                    params_tau, basis, constant_field(1.0), None, config.signal,
-                    config.solver, config.bc,
-                )
-                lower = energy_lower(traj, basis)
-                higher = energy_higher(traj, basis)
-                if not base_written:
-                    _write_trajectory(trajectory_path, traj)
-                    written.append(trajectory_path)
-                    flux = (
-                        boundary_flux(traj, traj.params, basis)
-                        if config.bc is BoundaryKind.MIXED
-                        else None
-                    )
-                    _write_energy(energy_path, lower, higher, flux)
-                    written.append(energy_path)
-                    base_written = True
-                bundle = data_norms(
-                    config.signal, None, params_tau, config.solver, max_order=MAX_DATA_ORDER
-                )
-                for mode in (AuditMode.TAU_DEPENDENT, AuditMode.TAU_UNIFORM, AuditMode.HIGHER):
-                    record = higher if mode is AuditMode.HIGHER else lower
-                    report = audit_estimate(record, bundle, mode)
-                    table.append(
-                        [
-                            tau,
-                            mode.value,
-                            report.lhs_total,
-                            report.rhs_total,
-                            report.ratio,
-                            report.log_constant,
-                            ";".join(report.flags),
-                        ]
-                    )
-            _write_csv(
-                report_path,
-                ["tau", "mode", "lhs", "rhs", "ratio", "log_constant", "flags"],
-                table,
-            )
-            say(f"energy-audit: {len(taus)} run(s), artifacts in {out}")
-            return 0
-
-        if subcommand == "mms":
-            rows, finest = mms_study(config)
-            basis = build_basis(config.length, config.solver.n_modes)
-            _write_trajectory(trajectory_path, finest)
-            written.append(trajectory_path)
-            _write_energy(energy_path, energy_lower(finest, basis), energy_higher(finest, basis))
-            written.append(energy_path)
-            table = [[row.solver, row.dt, row.error, row.observed_order] for row in rows]
-            _write_csv(report_path, ["solver", "dt", "error", "observed_order"], table)
-            say(f"mms: {len(rows)} rows, artifacts in {out}")
-            return 0
-
+            traj, table = _energy_audit(config, basis, taus)
+            header = ["tau", "mode", "lhs", "rhs", "ratio", "log_constant", "flags"]
+            summary = f"{len(taus)} run(s)"
+        else:
+            rows, traj = mms_study(config)
+            header = [f.name for f in fields(MmsRow)]
+            table = [astuple(row) for row in rows]
+            summary = f"{len(rows)} rows"
     except SolverFailure as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
         _write_csv(report_path, ["section", "key", "value"], _failure_rows(exc))
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
@@ -465,7 +385,14 @@ def run(
             print(f"config error: {error}", file=sys.stderr)
         return 1
 
-    raise AssertionError(f"unhandled subcommand {subcommand!r}")
+    # the limit-study reference and the mms runs carry no flux columns
+    flux = None if subcommand in ("limit-study", "mms") else boundary_flux(traj, traj.params, basis)
+    _write_trajectory(out / "trajectory.csv", traj)
+    _write_energy(out / "energy.csv", energy_lower(traj, basis), energy_higher(traj, basis), flux)
+    _write_csv(report_path, header, table)
+    if not quiet:
+        print(f"{subcommand}: {summary}, artifacts in {out}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -434,7 +434,7 @@ def ode_residual_z(
     steps = traj.n_steps
     b = params.b
 
-    masses = TimeVaryingMass(basis, quad, field)
+    masses = TimeVaryingMass(basis, quad, field, traj.times)
     boundary = None
     if traj.bc is BoundaryKind.MIXED:
         traces = trace_vector(basis, End.RIGHT)
@@ -455,7 +455,7 @@ def ode_residual_z(
         forcing = (
             load
             - params.tau * traj.coeff_ttt[m]
-            - masses.matrix(t) @ traj.coeff_tt[m]
+            - masses.matrix(m) @ traj.coeff_tt[m]
             + b * traj.coeff_t[m]
             + params.c2 * traj.coeff[m]
         ) / b

@@ -135,6 +135,107 @@ def _solve_step(matrix: np.ndarray, rhs: np.ndarray, step: int, time: float) -> 
     return solution
 
 
+def _integrate(
+    order: int,
+    params: ModelParams,
+    basis: SpectralBasis,
+    field: CoefficientField,
+    f: SpaceTimeFn | None,
+    g: WindowedSignal | None,
+    config: SolverConfig,
+    bc: BoundaryKind,
+) -> Trajectory:
+    """BDF2 core of both solvers; ``order`` is the system's order in time (3 or 2).
+
+    The state stacks xi and its first ``order - 1`` time derivatives.  The
+    leading block rows are the kinematic identities and the last one is the
+    momentum balance.  For order 3 the balance solves for xi'' and the third
+    derivative is recovered afterwards; for order 2 (params at tau = 0, so
+    b = delta) it solves for xi' and xi'' is the BDF difference of xi'.
+    """
+    _check_signal(g, bc)
+
+    n = basis.n
+    quad = build_quadrature(basis.length, config.quad_points)
+    steps = config.n_steps
+    dt = config.dt
+    times = dt * np.arange(steps + 1)
+
+    stiffness = assemble_stiffness(basis, quad)
+    masses = TimeVaryingMass(basis, quad, field, times)
+    boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
+
+    loads = np.empty((steps + 1, n))
+    for m, t in enumerate(times):
+        loads[m] = assemble_load(basis, quad, f, g, params, t, bc)
+
+    damp_block = params.b * stiffness
+    acc_extra = np.zeros((n, n))
+    if boundary is not None:
+        damp_block = damp_block + params.c2 * params.beta * boundary
+        acc_extra = params.b * params.beta * boundary
+
+    size = order * n
+    kinematic = slice(0, size - n)
+    balance = slice(size - n, size)
+    eye = np.eye(n)
+    state = np.zeros((steps + 1, size))
+    coeff_tt = state[:, balance] if order == 3 else np.zeros((steps + 1, n))
+    matrix = np.zeros((size, size))
+    matrix[kinematic, n:] = -np.eye(size - n)
+    matrix[balance, 0:n] = params.c2 * stiffness
+    if order == 3:
+        matrix[balance, n : 2 * n] = damp_block
+
+    for m in range(steps):
+        if m == 0:
+            c0 = 1.0
+            hist = state[0].copy()
+        else:
+            c0 = 1.5
+            hist = 2.0 * state[m] - 0.5 * state[m - 1]
+        scale = c0 / dt
+        np.fill_diagonal(matrix[kinematic, kinematic], scale)
+        if order == 3:
+            matrix[balance, balance] = params.tau * scale * eye + masses.matrix(m + 1) + acc_extra
+            carried = (params.tau / dt) * hist[balance]
+        else:
+            eff_mass = masses.matrix(m + 1) + acc_extra
+            matrix[balance, balance] = scale * eff_mass + damp_block
+            carried = eff_mass @ hist[balance] / dt
+        rhs = np.concatenate((hist[kinematic] / dt, loads[m + 1] + carried))
+        state[m + 1] = _solve_step(matrix, rhs, m + 1, times[m + 1])
+        if order == 2:
+            coeff_tt[m + 1] = (c0 * state[m + 1, balance] - hist[balance]) / dt
+
+    coeff = state[:, 0:n]
+    coeff_t = state[:, n : 2 * n]
+    coeff_ttt = None
+    if order == 3:
+        coeff_ttt = np.empty_like(coeff)
+        for m in range(steps + 1):
+            coeff_ttt[m] = recover_third(
+                params,
+                stiffness,
+                masses.matrix(m),
+                loads[m],
+                coeff[m],
+                coeff_t[m],
+                coeff_tt[m],
+                boundary=boundary,
+            )
+
+    return Trajectory(
+        times=times,
+        coeff=coeff,
+        coeff_t=coeff_t,
+        coeff_tt=coeff_tt,
+        coeff_ttt=coeff_ttt,
+        bc=bc,
+        params=params,
+    )
+
+
 def solve_smgt_linear(
     params: ModelParams,
     basis: SpectralBasis,
@@ -155,86 +256,7 @@ def solve_smgt_linear(
     """
     if params.tau <= 0.0:
         raise ValueError(f"the third-order solver requires tau > 0, got {params.tau}")
-    _check_signal(g, bc)
-
-    n = basis.n
-    quad = build_quadrature(basis.length, config.quad_points)
-    steps = config.n_steps
-    dt = config.dt
-    times = dt * np.arange(steps + 1)
-
-    stiffness = assemble_stiffness(basis, quad)
-    masses = TimeVaryingMass(basis, quad, field)
-    if bc is BoundaryKind.MIXED:
-        boundary = assemble_boundary(basis, End.RIGHT)
-    else:
-        boundary = None
-
-    loads = np.empty((steps + 1, n))
-    for m, t in enumerate(times):
-        loads[m] = assemble_load(basis, quad, f, g, params, t, bc)
-
-    damp_block = params.b * stiffness
-    stiff_block = params.c2 * stiffness
-    acc_extra = np.zeros((n, n))
-    if boundary is not None:
-        damp_block = damp_block + params.c2 * params.beta * boundary
-        acc_extra = params.b * params.beta * boundary
-
-    eye = np.eye(n)
-    state = np.zeros((steps + 1, 3 * n))
-    matrix = np.zeros((3 * n, 3 * n))
-    matrix[0:n, n : 2 * n] = -eye
-    matrix[n : 2 * n, 2 * n :] = -eye
-    matrix[2 * n :, 0:n] = stiff_block
-    matrix[2 * n :, n : 2 * n] = damp_block
-
-    for m in range(steps):
-        if m == 0:
-            c0 = 1.0
-            hist = state[0].copy()
-        else:
-            c0 = 1.5
-            hist = 2.0 * state[m] - 0.5 * state[m - 1]
-        t_next = times[m + 1]
-        scale = c0 / dt
-        matrix[0:n, 0:n] = scale * eye
-        matrix[n : 2 * n, n : 2 * n] = scale * eye
-        matrix[2 * n :, 2 * n :] = params.tau * scale * eye + masses.matrix(t_next) + acc_extra
-        rhs = np.concatenate(
-            (
-                hist[0:n] / dt,
-                hist[n : 2 * n] / dt,
-                loads[m + 1] + (params.tau / dt) * hist[2 * n :],
-            )
-        )
-        state[m + 1] = _solve_step(matrix, rhs, m + 1, t_next)
-
-    coeff = state[:, 0:n]
-    coeff_t = state[:, n : 2 * n]
-    coeff_tt = state[:, 2 * n :]
-    coeff_ttt = np.empty_like(coeff)
-    for m, t in enumerate(times):
-        coeff_ttt[m] = recover_third(
-            params,
-            stiffness,
-            masses.matrix(t),
-            loads[m],
-            coeff[m],
-            coeff_t[m],
-            coeff_tt[m],
-            boundary=boundary,
-        )
-
-    return Trajectory(
-        times=times,
-        coeff=coeff,
-        coeff_t=coeff_t,
-        coeff_tt=coeff_tt,
-        coeff_ttt=coeff_ttt,
-        bc=bc,
-        params=params,
-    )
+    return _integrate(3, params, basis, field, f, g, config, bc)
 
 
 def solve_westervelt_linearized(
@@ -252,59 +274,4 @@ def solve_westervelt_linearized(
     operator and in the boundary load.  The stored parameter snapshot has
     tau = 0 so that downstream energy weights are consistent.
     """
-    params = replace(params, tau=0.0)
-    _check_signal(g, bc)
-
-    n = basis.n
-    quad = build_quadrature(basis.length, config.quad_points)
-    steps = config.n_steps
-    dt = config.dt
-    times = dt * np.arange(steps + 1)
-
-    stiffness = assemble_stiffness(basis, quad)
-    masses = TimeVaryingMass(basis, quad, field)
-    boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
-
-    loads = np.empty((steps + 1, n))
-    for m, t in enumerate(times):
-        loads[m] = assemble_load(basis, quad, f, g, params, t, bc)
-
-    damp_block = params.delta * stiffness
-    acc_extra = np.zeros((n, n))
-    if boundary is not None:
-        damp_block = damp_block + params.c2 * params.beta * boundary
-        acc_extra = params.delta * params.beta * boundary
-    stiff_block = params.c2 * stiffness
-
-    eye = np.eye(n)
-    state = np.zeros((steps + 1, 2 * n))
-    accel = np.zeros((steps + 1, n))
-    matrix = np.zeros((2 * n, 2 * n))
-    matrix[0:n, n:] = -eye
-    matrix[n:, 0:n] = stiff_block
-
-    for m in range(steps):
-        if m == 0:
-            c0 = 1.0
-            hist = state[0].copy()
-        else:
-            c0 = 1.5
-            hist = 2.0 * state[m] - 0.5 * state[m - 1]
-        t_next = times[m + 1]
-        scale = c0 / dt
-        eff_mass = masses.matrix(t_next) + acc_extra
-        matrix[0:n, 0:n] = scale * eye
-        matrix[n:, n:] = scale * eff_mass + damp_block
-        rhs = np.concatenate((hist[0:n] / dt, loads[m + 1] + eff_mass @ hist[n:] / dt))
-        state[m + 1] = _solve_step(matrix, rhs, m + 1, t_next)
-        accel[m + 1] = (c0 * state[m + 1, n:] - hist[n:]) / dt
-
-    return Trajectory(
-        times=times,
-        coeff=state[:, 0:n],
-        coeff_t=state[:, n:],
-        coeff_tt=accel,
-        coeff_ttt=None,
-        bc=bc,
-        params=params,
-    )
+    return _integrate(2, replace(params, tau=0.0), basis, field, f, g, config, bc)

@@ -18,7 +18,6 @@ __all__ = [
     "ModelParams",
     "WindowedSignal",
     "SolverConfig",
-    "derived_b",
     "signal_eval",
     "validate_compatibility",
     "MAX_SIGNAL_ORDER",
@@ -70,11 +69,6 @@ class ModelParams:
     def b(self) -> float:
         """Damping coefficient combining diffusivity and relaxation."""
         return self.delta + self.tau * self.c2
-
-
-def derived_b(params: ModelParams) -> float:
-    """Return the derived damping coefficient b = delta + tau * c2."""
-    return params.delta + params.tau * params.c2
 
 
 @dataclass(frozen=True)
@@ -152,10 +146,11 @@ def validate_compatibility(sig: WindowedSignal, required_order: int) -> list[int
 class SolverConfig:
     """Discretization and fixed-point settings shared by all solvers.
 
-    ``quad_points`` and ``eval_grid`` may be omitted; they then default to
-    4 * n_modes quadrature nodes and 8 * n_modes spatial sample points, the
-    smallest counts that resolve every mode product and mode extremum used
-    in the checks.
+    ``dt`` must divide ``t_final`` (to a relative 1e-9), so the grid ends
+    exactly at the horizon.  ``quad_points`` and ``eval_grid`` may be
+    omitted; they then default to 4 * n_modes quadrature nodes and
+    8 * n_modes spatial sample points, the smallest counts that resolve every
+    mode product and mode extremum used in the checks.
     """
 
     dt: float
@@ -173,6 +168,9 @@ class SolverConfig:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if not self.dt < self.t_final:
             raise ValueError(f"dt = {self.dt} must be smaller than t_final = {self.t_final}")
+        ratio = self.t_final / self.dt
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError(f"dt = {self.dt} must divide t_final = {self.t_final}")
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be at least 1, got {self.n_modes}")
         if self.quad_points is None:
@@ -193,8 +191,4 @@ class SolverConfig:
     @property
     def n_steps(self) -> int:
         """Number of uniform steps covering [0, t_final]."""
-        ratio = self.t_final / self.dt
-        steps = int(round(ratio))
-        if steps < 1 or abs(steps - ratio) > 1e-9 * max(1.0, ratio):
-            steps = int(math.ceil(ratio - 1e-12))
-        return steps
+        return round(self.t_final / self.dt)

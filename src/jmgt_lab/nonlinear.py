@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import SpaceTimeFn, constant_field, field_from_trajectory
+from .assembly import SpaceTimeFn, clamp_h, constant_field, field_from_trajectory
 from .basis import SpectralBasis, mode_matrix
 from .energy import trapezoid_total
 from .exceptions import NonDegeneracyViolated, PicardDivergenceError
@@ -61,15 +61,6 @@ class PicardReport:
     converged: bool
     degeneracy_margin: float
     iterate_norms: list[float]
-
-
-def clamp_h(s, k: float):
-    """Bounded coefficient h(s) = 1 - clamp(2ks, -1, 1), with range [0, 2].
-
-    Coincides with 1 - 2ks whenever |2ks| <= 1, so the relaxation is inactive
-    on non-degenerate states.
-    """
-    return 1.0 - np.clip(2.0 * k * np.asarray(s, dtype=float), -1.0, 1.0)
 
 
 def triple_norm(

@@ -15,9 +15,9 @@ from jmgt_lab import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    assemble_system,
     build_basis,
     build_quadrature,
+    clamp_h,
     constant_field,
     eval_mode,
     field_from_trajectory,
@@ -100,12 +100,25 @@ class TestMass:
         basis = build_basis(1.0, 4)
         quad = build_quadrature(1.0, 16)
         field = make_field(lambda x, t: 1.0 + 0.2 * t * np.asarray(x, dtype=float))
-        sampler = TimeVaryingMass(basis, quad, field)
-        for t in (0.0, 0.5, 0.5, 2.0):
-            np.testing.assert_allclose(
-                sampler.matrix(t), assemble_mass(basis, quad, field, t), atol=1e-15
-            )
-        assert len(sampler._alpha_cache) == 3  # repeated time hits the cache
+        times = np.array([0.0, 0.5, 1.25, 2.0])
+        sampler = TimeVaryingMass(basis, quad, field, times)
+        for m, t in enumerate(times):
+            np.testing.assert_array_equal(sampler.alpha_values(m), field.value(quad.nodes, t))
+            np.testing.assert_array_equal(sampler.matrix(m), assemble_mass(basis, quad, field, t))
+
+    def test_time_varying_mass_samples_each_grid_time_once(self):
+        basis = build_basis(1.0, 3)
+        quad = build_quadrature(1.0, 12)
+        queried = []
+
+        def alpha(x, t):
+            queried.append(t)
+            return np.full_like(np.asarray(x, dtype=float), 1.0 + t)
+
+        sampler = TimeVaryingMass(basis, quad, make_field(alpha), np.array([0.0, 0.1, 0.2]))
+        for m in (2, 0, 1, 2):
+            np.testing.assert_allclose(sampler.matrix(m), (1.0 + 0.1 * m) * np.eye(3), atol=1e-14)
+        assert queried == [0.0, 0.1, 0.2]
 
 
 class TestBoundary:
@@ -213,21 +226,6 @@ class TestLoad:
         a = assemble_load(basis, quad, None, sig, params, 1.2, BoundaryKind.PURE_NEUMANN)
         b = assemble_load(basis, quad, None, sig, params, 1.2, BoundaryKind.MIXED)
         np.testing.assert_array_equal(a, b)
-
-
-class TestSystemBundle:
-    def test_assemble_system_bundles_operators(self):
-        basis = build_basis(math.pi, 3)
-        quad = build_quadrature(math.pi, 12)
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
-        sig = WindowedSignal(1.0, 1.0, 5, 0.0)
-        system = assemble_system(basis, quad, None, sig, params)
-        np.testing.assert_allclose(system.stiffness, np.diag(basis.eigenvalues), atol=1e-12)
-        np.testing.assert_allclose(
-            system.load(0.7), assemble_load(basis, quad, None, sig, params, 0.7)
-        )
-        assert np.linalg.matrix_rank(system.boundary_left) == 1
-        assert np.linalg.matrix_rank(system.boundary_right) == 1
 
 
 class TestHarmonicExtension:
@@ -371,33 +369,35 @@ class TestFieldFromTrajectory:
 
     def test_reconstruction_matches_closed_form(self):
         basis = build_basis(math.pi, 3)
-        rate = 0.8
         k = 0.25
-        traj = self.make_ramp_trajectory(basis, rate)
-        field = field_from_trajectory(basis, traj, k)
-        assert field.provenance == "trajectory"
         xs = np.array([0.0, 0.9, 2.2, math.pi])
-        for t in (0.05, 0.33, 0.77):  # off-grid times exercise interpolation
-            w1 = np.array([eval_mode(basis, 1, float(x)) for x in xs])
-            expected = 1.0 - 2.0 * k * rate * t * w1
-            np.testing.assert_allclose(field.value(xs, t), expected, rtol=1e-13)
-            dw1 = np.array([eval_mode(basis, 1, float(x), deriv=1) for x in xs])
-            np.testing.assert_allclose(
-                field.space_derivative(xs, t), -2.0 * k * rate * t * dw1, atol=1e-13
-            )
-            np.testing.assert_allclose(
-                field.time_derivative(xs, t), -2.0 * k * rate * w1, rtol=1e-13
-            )
+        w1 = np.array([eval_mode(basis, 1, float(x)) for x in xs])
+        for rate in (0.8, 40.0):  # the unclamped field follows 1 - 2k*psi_t past [0, 2]
+            traj = self.make_ramp_trajectory(basis, rate)
+            field = field_from_trajectory(basis, traj, k)
+            for t in traj.times:
+                expected = 1.0 - 2.0 * k * rate * t * w1
+                np.testing.assert_allclose(field.value(xs, t), expected, rtol=1e-13)
 
     def test_clamped_reconstruction_saturates(self):
         basis = build_basis(math.pi, 3)
-        traj = self.make_ramp_trajectory(basis, rate=40.0)
+        rate = 40.0
+        traj = self.make_ramp_trajectory(basis, rate)
         field = field_from_trajectory(basis, traj, 0.25, clamped=True)
-        values = field.value(np.linspace(0, math.pi, 64), 1.0)
-        assert values.min() >= 0.0
-        assert values.max() <= 2.0
-        # saturated regions report zero derivatives
-        saturated = np.isclose(values, 0.0) | np.isclose(values, 2.0)
-        assert saturated.any()
-        grads = field.space_derivative(np.linspace(0, math.pi, 64), 1.0)
-        assert np.all(grads[saturated] == 0.0)
+        xs = np.linspace(0, math.pi, 64)
+        w1 = np.array([eval_mode(basis, 1, float(x)) for x in xs])
+        for t in traj.times:
+            values = field.value(xs, t)
+            np.testing.assert_allclose(values, clamp_h(rate * t * w1, 0.25), rtol=1e-13)
+            assert values.min() >= 0.0
+            assert values.max() <= 2.0
+        assert np.any(field.value(xs, 1.0) == 0.0) and np.any(field.value(xs, 1.0) == 2.0)
+
+    @pytest.mark.parametrize("t", [0.05, 0.33, -0.1, 1.2])
+    def test_off_grid_time_rejected(self, t):
+        basis = build_basis(math.pi, 3)
+        traj = self.make_ramp_trajectory(basis, rate=0.8)
+        for clamped in (False, True):
+            field = field_from_trajectory(basis, traj, 0.25, clamped=clamped)
+            with pytest.raises(ValueError):
+                field.value(np.array([0.0, 1.0]), t)

@@ -120,6 +120,11 @@ class TestParsing:
         config = parse_config_text(text)
         assert config.params.c2 == 1.0
 
+    def test_step_that_does_not_divide_horizon_rejected(self):
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(config_with(dt=0.3, t_final=1.0, n_modes=4))
+        assert any("divide" in message for message in info.value.errors)
+
     def test_round_trip(self):
         for overrides in ({}, {"tau_sweep": "1e-1, 1e-2"}, {"bc": "mixed", "beta": 0.5}):
             config = parse_config_text(config_with(**overrides))
@@ -174,6 +179,14 @@ class TestRun:
         header = (tmp_path / "energy.csv").read_text().split("\n", 1)[0]
         assert "flux_tt_accum" in header
         assert "flux_t_max" in header
+
+    def test_flux_columns_follow_the_subcommand(self, tmp_path):
+        config = parse_config_text(config_with(bc="mixed", beta=0.5, tau_sweep="1e-1, 1e-2"))
+        expected = {"energy-audit": True, "limit-study": False, "mms": False}
+        for subcommand, with_flux in expected.items():
+            assert run(subcommand, config, out_dir=tmp_path / subcommand, quiet=True) == 0
+            header = (tmp_path / subcommand / "energy.csv").read_text().split("\n", 1)[0]
+            assert ("flux_tt_accum" in header) is with_flux, subcommand
 
     def test_linear_solve_requires_positive_tau(self, tmp_path, capsys):
         config = parse_config_text(config_with(tau=0.0))
@@ -266,6 +279,14 @@ class TestMain:
         code = main(["solve-jmgt", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_main_rejects_step_that_overshoots_horizon(self, tmp_path, capsys):
+        path = tmp_path / "experiment.cfg"
+        path.write_text(config_with(dt=0.3, t_final=1.0, n_modes=4), encoding="utf-8")
+        code = main(["solve-linear", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "divide" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_main_missing_file(self, tmp_path, capsys):
         code = main(["solve-jmgt", "--config", str(tmp_path / "nope.cfg")])

@@ -10,7 +10,6 @@ from jmgt_lab import (
     SolverConfig,
     UnsupportedOrderError,
     WindowedSignal,
-    derived_b,
     signal_eval,
     validate_compatibility,
 )
@@ -20,17 +19,17 @@ from helpers import fd_derivative
 
 class TestDerivedB:
     def test_paper_arithmetic(self):
-        assert derived_b(ModelParams(c2=4.0, delta=0.1, tau=0.5)) == pytest.approx(2.1, rel=1e-15)
+        assert ModelParams(c2=4.0, delta=0.1, tau=0.5).b == pytest.approx(2.1, rel=1e-15)
 
     def test_tau_zero_collapses_to_delta(self):
-        assert derived_b(ModelParams(c2=1.0, delta=1.0, tau=0.0)) == 1.0
+        assert ModelParams(c2=1.0, delta=1.0, tau=0.0).b == 1.0
 
     def test_direct_substitution(self):
-        assert derived_b(ModelParams(c2=2.25, delta=0.01, tau=0.04)) == pytest.approx(0.1, rel=1e-15)
+        assert ModelParams(c2=2.25, delta=0.01, tau=0.04).b == pytest.approx(0.1, rel=1e-15)
 
     def test_property_matches_function(self):
         params = ModelParams(c2=3.0, delta=0.2, tau=0.7)
-        assert params.b == derived_b(params)
+        assert params.b == params.delta + params.tau * params.c2
 
     @given(
         c2=st.floats(1e-3, 1e3),
@@ -40,12 +39,12 @@ class TestDerivedB:
     @settings(max_examples=50, deadline=None)
     def test_b_at_least_delta(self, c2, delta, tau):
         params = ModelParams(c2=c2, delta=delta, tau=tau)
-        assert derived_b(params) >= delta
+        assert params.b >= delta
         if tau == 0.0:
-            assert derived_b(params) == delta
+            assert params.b == delta
 
     def test_b_strictly_above_delta_for_positive_tau(self):
-        assert derived_b(ModelParams(c2=2.0, delta=0.5, tau=1e-6)) > 0.5
+        assert ModelParams(c2=2.0, delta=0.5, tau=1e-6).b > 0.5
 
 
 class TestParamValidation:
@@ -83,6 +82,20 @@ class TestParamValidation:
     def test_invalid_solver_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("dt", [0.3, 0.15, 0.0099])
+    def test_step_that_does_not_divide_horizon_rejected(self, dt):
+        with pytest.raises(ValueError, match="divide"):
+            SolverConfig(dt=dt, t_final=1.0, n_modes=4)
+
+    @pytest.mark.parametrize(
+        "dt, t_final, steps",
+        [(0.1, 1.0, 10), (1 / 3, 1.0, 3), (0.02, 0.5, 25), (1 / 200, 2.0, 400)],
+    )
+    def test_dividing_step_lands_on_horizon(self, dt, t_final, steps):
+        config = SolverConfig(dt=dt, t_final=t_final, n_modes=4)
+        assert config.n_steps == steps
+        assert config.dt * config.n_steps == pytest.approx(t_final, rel=1e-12)
 
 
 class TestSignalEval:

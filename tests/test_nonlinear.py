@@ -203,3 +203,47 @@ class TestGuard:
         zero_tau = ModelParams(c2=1.0, delta=1.0, tau=0.0, k=0.4)
         with pytest.raises(ValueError):
             solve_jmgt(zero_tau, basis, None, sig, config)
+
+
+class TestManufacturedPicard:
+    """Exact-solution check of the Picard path: psi = t^3 cos(x) on [0, pi].
+
+    The nonlinear term (1 - 6k t^2 cos x) 6t cos x lies in the span of modes
+    0 and 2, so with n = 4 the forcing is represented exactly and the error
+    is temporal only.  |2k psi_t| <= 0.6 on [0, 1], so the clamp of the
+    relaxed variant stays inactive.
+    """
+
+    @staticmethod
+    def forcing(params):
+        k, tau, b, c2 = params.k, params.tau, params.b, params.c2
+
+        def f(x, t):
+            cos = np.cos(np.asarray(x, dtype=float))
+            gain = 6.0 * tau + (1.0 - 6.0 * k * t**2 * cos) * 6.0 * t + c2 * t**3 + 3.0 * b * t**2
+            return gain * cos
+
+        return f
+
+    @pytest.mark.parametrize(
+        "variant",
+        [NonlinearVariant.FULL_JMGT, NonlinearVariant.RELAXED_JMGT, NonlinearVariant.WESTERVELT],
+        ids=lambda variant: variant.value,
+    )
+    def test_observed_order_two(self, variant):
+        n = 4
+        basis = build_basis(L, n)
+        tau = 0.0 if variant is NonlinearVariant.WESTERVELT else 0.1
+        params = ModelParams(c2=1.0, delta=0.5, tau=tau, k=0.1)
+        errors = []
+        for dt in (1 / 50, 1 / 100, 1 / 200):
+            config = SolverConfig(dt=dt, t_final=1.0, n_modes=n, picard_tol=1e-12, picard_max=30)
+            traj, report = solve_jmgt(
+                params, basis, self.forcing(params), None, config, variant=variant
+            )
+            assert report.converged
+            exact = np.zeros_like(traj.coeff)
+            exact[:, 1] = math.sqrt(L / 2.0) * traj.times**3  # cos(x) = sqrt(pi/2) w_1
+            errors.append(float(np.sqrt(((traj.coeff - exact) ** 2).sum(axis=1)).max()))
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert all(1.9 <= order <= 2.1 for order in orders), orders

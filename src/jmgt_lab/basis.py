@@ -154,16 +154,16 @@ def trace(basis: SpectralBasis, i: int, end: End) -> float:
     """Boundary value w_i(0) or w_i(L)."""
     if not 0 <= i < basis.n:
         raise IndexError(f"mode index {i} out of range [0, {basis.n})")
-    norm = basis.normalizations[i]
-    if end is End.LEFT or i == 0:
-        return float(norm)
-    # cos(i*pi) alternates sign
-    return float(norm if i % 2 == 0 else -norm)
+    return float(trace_vector(basis, end)[i])
 
 
 def trace_vector(basis: SpectralBasis, end: End) -> np.ndarray:
     """Vector of boundary values of all modes at one end."""
-    return np.array([trace(basis, i, end) for i in range(basis.n)])
+    traces = basis.normalizations
+    if end is End.RIGHT:
+        # cos(i*pi) alternates sign
+        traces[1::2] = -traces[1::2]
+    return traces
 
 
 def project(

@@ -182,11 +182,13 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     if eval_grid is not None and eval_grid < 1:
         fail("discretization", "eval_grid", "must be positive")
     variant_raw = get("experiment", "variant").lower()
-    try:
-        variant = NonlinearVariant(variant_raw)
-    except ValueError:
-        fail("experiment", "variant", f"must be one of full|relaxed|westervelt, got {variant_raw!r}")
-        variant = NonlinearVariant.FULL_JMGT
+    if variant_raw != NonlinearVariant.FULL_JMGT.value:
+        fail(
+            "experiment",
+            "variant",
+            f"must be full, got {variant_raw!r}; the subcommand picks the model "
+            "(solve-relaxed, solve-westervelt)",
+        )
     bc_raw = get("experiment", "bc").lower()
     try:
         bc = BoundaryKind(bc_raw)
@@ -235,7 +237,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         signal=signal,
         solver=solver,
         length=get("discretization", "length"),
-        variant=variant,
+        variant=NonlinearVariant.FULL_JMGT,
         bc=bc,
         tau_sweep=sweep,
         mms_levels=get("experiment", "mms_levels"),

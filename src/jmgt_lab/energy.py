@@ -14,7 +14,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assembly import CoefficientField, SpaceTimeFn, TimeVaryingMass, assemble_load
+from .assembly import (
+    CoefficientField,
+    SpaceTimeFn,
+    TimeVaryingMass,
+    assemble_boundary,
+    assemble_load,
+)
 from .basis import End, SpectralBasis, build_quadrature, trace_vector
 from .exceptions import InconsistentEnergyError, UnsupportedOrderError
 from .model import (
@@ -435,10 +441,7 @@ def ode_residual_z(
     b = params.b
 
     masses = TimeVaryingMass(basis, quad, field, traj.times)
-    boundary = None
-    if traj.bc is BoundaryKind.MIXED:
-        traces = trace_vector(basis, End.RIGHT)
-        boundary = np.outer(traces, traces)
+    boundary = assemble_boundary(basis, End.RIGHT) if traj.bc is BoundaryKind.MIXED else None
 
     z = (1.0 + lam) * traj.coeff
     z_rate = np.empty_like(z)

@@ -1,9 +1,10 @@
 """Implicit time integration of the Galerkin systems.
 
-Both solvers reduce their equation to a first-order system and step it with
-BDF2 after a single implicit-Euler startup step.  The pair is A-stable and
-strongly damping at infinity, which the third-order system needs because its
-first-order form carries 1/tau-scaled blocks.
+Both solvers step their momentum balance with BDF2 after a single
+implicit-Euler startup step.  The pair is A-stable and strongly damping at
+infinity, which the third-order system needs because tau multiplies its
+highest derivative.  Each step solves one n x n system for the highest stored
+derivative; the lower ones follow by back-substitution.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ __all__ = [
 class Trajectory:
     """Time series of Galerkin coefficients and their time derivatives.
 
-    ``coeff_ttt`` is reconstructed from the equation for the third-order
-    solver and is None for the second-order (tau = 0) solver.  Initial data
-    are homogeneous: all series start at zero.
+    For the third-order solver ``coeff_ttt`` is the BDF difference of
+    ``coeff_tt``, which satisfies the momentum balance to roundoff, and at
+    t = 0 it is F(0)/tau; it is None for the second-order (tau = 0) solver.
+    Initial data are homogeneous: xi, xi' and xi'' start at zero.
     """
 
     times: np.ndarray
@@ -99,7 +101,8 @@ def recover_third(
 
     Rearranges tau*xi''' + (M + b*beta*B)xi'' + (b*K + c2*beta*B)xi' +
     c2*K*xi = F at one time level; ``boundary`` is the rank-one trace matrix
-    of the absorbing end (None under pure Neumann conditions).
+    of the absorbing end (None under pure Neumann conditions).  The solvers
+    do not call it: it is the independent check of their stored ``coeff_ttt``.
     """
     if params.tau <= 0.0:
         raise ValueError("third-derivative recovery requires tau > 0")
@@ -147,11 +150,14 @@ def _integrate(
 ) -> Trajectory:
     """BDF2 core of both solvers; ``order`` is the system's order in time (3 or 2).
 
-    The state stacks xi and its first ``order - 1`` time derivatives.  The
-    leading block rows are the kinematic identities and the last one is the
-    momentum balance.  For order 3 the balance solves for xi'' and the third
-    derivative is recovered afterwards; for order 2 (params at tau = 0, so
-    b = delta) it solves for xi' and xi'' is the BDF difference of xi'.
+    The stored derivatives are xi and its first ``order - 1`` time
+    derivatives, and the highest of them is the unknown of each step.  With
+    s = c0/dt, BDF2 makes each lower derivative j an affine function of it,
+    s**-(order - 1 - j) * top + shift_j, and the derivative above it the BDF
+    difference s*top - h/dt.  Inserting these into the momentum balance
+    leaves one n x n system per step.  For order 3 the top is xi'' and xi'''
+    is its BDF difference; for order 2 (params at tau = 0, so b = delta) the
+    top is xi' and xi'' is its BDF difference.
     """
     _check_signal(g, bc)
 
@@ -169,68 +175,47 @@ def _integrate(
     for m, t in enumerate(times):
         loads[m] = assemble_load(basis, quad, f, g, params, t, bc)
 
-    damp_block = params.b * stiffness
+    # momentum-balance coefficients of xi, xi', xi'' (M(t) + acc_extra, per step) and xi'''
+    elastic = params.c2 * stiffness
+    damping = params.b * stiffness
     acc_extra = np.zeros((n, n))
     if boundary is not None:
-        damp_block = damp_block + params.c2 * params.beta * boundary
+        damping = damping + params.c2 * params.beta * boundary
         acc_extra = params.b * params.beta * boundary
+    inertia = params.tau * np.eye(n)
 
-    size = order * n
-    kinematic = slice(0, size - n)
-    balance = slice(size - n, size)
-    eye = np.eye(n)
-    state = np.zeros((steps + 1, size))
-    coeff_tt = state[:, balance] if order == 3 else np.zeros((steps + 1, n))
-    matrix = np.zeros((size, size))
-    matrix[kinematic, n:] = -np.eye(size - n)
-    matrix[balance, 0:n] = params.c2 * stiffness
+    # derivs[j] is the j-th time derivative; derivs[order] is the BDF difference
+    derivs = np.zeros((order + 1, steps + 1, n))
     if order == 3:
-        matrix[balance, n : 2 * n] = damp_block
-
+        derivs[3, 0] = loads[0] / params.tau
     for m in range(steps):
         if m == 0:
             c0 = 1.0
-            hist = state[0].copy()
+            hist = derivs[:order, 0]
         else:
             c0 = 1.5
-            hist = 2.0 * state[m] - 0.5 * state[m - 1]
-        scale = c0 / dt
-        np.fill_diagonal(matrix[kinematic, kinematic], scale)
-        if order == 3:
-            matrix[balance, balance] = params.tau * scale * eye + masses.matrix(m + 1) + acc_extra
-            carried = (params.tau / dt) * hist[balance]
-        else:
-            eff_mass = masses.matrix(m + 1) + acc_extra
-            matrix[balance, balance] = scale * eff_mass + damp_block
-            carried = eff_mass @ hist[balance] / dt
-        rhs = np.concatenate((hist[kinematic] / dt, loads[m + 1] + carried))
-        state[m + 1] = _solve_step(matrix, rhs, m + 1, times[m + 1])
-        if order == 2:
-            coeff_tt[m + 1] = (c0 * state[m + 1, balance] - hist[balance]) / dt
-
-    coeff = state[:, 0:n]
-    coeff_t = state[:, n : 2 * n]
-    coeff_ttt = None
-    if order == 3:
-        coeff_ttt = np.empty_like(coeff)
-        for m in range(steps + 1):
-            coeff_ttt[m] = recover_third(
-                params,
-                stiffness,
-                masses.matrix(m),
-                loads[m],
-                coeff[m],
-                coeff_t[m],
-                coeff_tt[m],
-                boundary=boundary,
-            )
+            hist = 2.0 * derivs[:order, m] - 0.5 * derivs[:order, m - 1]
+        s = c0 / dt
+        coefficients = (elastic, damping, masses.matrix(m + 1) + acc_extra, inertia)[: order + 1]
+        # derivative j = gains[j] * top + shifts[j] for j = 0..order
+        gains = s ** np.arange(1.0 - order, 2.0)
+        shifts = np.zeros((order + 1, n))
+        shifts[order] = -hist[order - 1] / dt
+        for j in range(order - 2, -1, -1):
+            shifts[j] = (shifts[j + 1] + hist[j] / dt) / s
+        matrix = sum(gain * coefficient for gain, coefficient in zip(gains, coefficients))
+        rhs = loads[m + 1] - sum(
+            coefficient @ shift for coefficient, shift in zip(coefficients, shifts)
+        )
+        top = _solve_step(matrix, rhs, m + 1, times[m + 1])
+        derivs[:, m + 1] = gains[:, None] * top + shifts
 
     return Trajectory(
         times=times,
-        coeff=coeff,
-        coeff_t=coeff_t,
-        coeff_tt=coeff_tt,
-        coeff_ttt=coeff_ttt,
+        coeff=derivs[0],
+        coeff_t=derivs[1],
+        coeff_tt=derivs[2],
+        coeff_ttt=derivs[3] if order == 3 else None,
         bc=bc,
         params=params,
     )
@@ -252,7 +237,7 @@ def solve_smgt_linear(
         tau*xi''' + (M(t) + b*beta*B)xi'' + (b*K + c2*beta*B)xi' + c2*K*xi = F(t)
 
     with B = 0 under pure Neumann conditions.  Every step solves one dense
-    linear system of size 3n.
+    linear system of size n for xi''.
     """
     if params.tau <= 0.0:
         raise ValueError(f"the third-order solver requires tau > 0, got {params.tau}")
@@ -272,6 +257,7 @@ def solve_westervelt_linearized(
 
     tau is ignored: the damping coefficient collapses to delta, both in the
     operator and in the boundary load.  The stored parameter snapshot has
-    tau = 0 so that downstream energy weights are consistent.
+    tau = 0 so that downstream energy weights are consistent.  Every step
+    solves one dense linear system of size n for xi'.
     """
     return _integrate(2, replace(params, tau=0.0), basis, field, f, g, config, bc)

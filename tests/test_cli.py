@@ -125,6 +125,15 @@ class TestParsing:
             parse_config_text(config_with(dt=0.3, t_final=1.0, n_modes=4))
         assert any("divide" in message for message in info.value.errors)
 
+    @pytest.mark.parametrize("variant", ["relaxed", "westervelt", "bogus"])
+    def test_variant_other_than_full_rejected(self, variant):
+        # the subcommand picks the model; a variant key that it would ignore is an error
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(config_with(variant=variant))
+        (message,) = info.value.errors
+        assert "variant" in message
+        assert "solve-relaxed" in message and "solve-westervelt" in message
+
     def test_round_trip(self):
         for overrides in ({}, {"tau_sweep": "1e-1, 1e-2"}, {"bc": "mixed", "beta": 0.5}):
             config = parse_config_text(config_with(**overrides))
@@ -286,6 +295,14 @@ class TestMain:
         code = main(["solve-linear", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "divide" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_main_rejects_variant_the_subcommand_would_ignore(self, tmp_path, capsys):
+        path = tmp_path / "experiment.cfg"
+        path.write_text(config_with(variant="relaxed"), encoding="utf-8")
+        code = main(["solve-jmgt", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "solve-relaxed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_main_missing_file(self, tmp_path, capsys):

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jmgt_lab import (
     BoundaryKind,
     CompatibilityError,
+    End,
     ModelParams,
     SingularStepMatrixError,
     SolverConfig,
     WindowedSignal,
+    assemble_boundary,
+    assemble_load,
     assemble_mass,
     assemble_stiffness,
     boundary_flux,
@@ -190,6 +195,101 @@ class TestRecoverThird:
             gap = np.abs(fd - traj.coeff_ttt[:-1]).max()
             gaps.append(gap)
         assert 1.5 <= gaps[0] / gaps[1] <= 2.6
+
+
+class TestDiscreteEquations:
+    """Oracle for the step: the stored arrays satisfy the discrete equations.
+
+    Each stored derivative and the one above it obey the BDF2 kinematic
+    identity (implicit Euler at the first step), xi''' agrees with the
+    momentum balance solved for it (``recover_third``), and the Westervelt
+    arrays satisfy their balance at every step after the start.
+    """
+
+    DT = 0.01
+    T_FINAL = 0.5
+
+    @staticmethod
+    def field():
+        return CoefficientField(value=lambda x, t: 1.0 + 0.3 * np.cos(x) * np.sin(t))
+
+    @staticmethod
+    def source(x, t):
+        return t * np.sin(2.0 * x) + t**2 * np.cos(x)
+
+    def run(self, solve, n, tau, bc):
+        basis = build_basis(L, n)
+        params = ModelParams(c2=1.0, delta=0.5, tau=tau, beta=0.6)
+        config = SolverConfig(dt=self.DT, t_final=self.T_FINAL, n_modes=n)
+        drive = WindowedSignal(0.5, 2.0, 5, 1.0)
+        traj = solve(params, basis, self.field(), self.source, drive, config, bc)
+        quad = build_quadrature(L, config.quad_points)
+        loads = [
+            assemble_load(basis, quad, self.source, drive, traj.params, t, bc)
+            for t in traj.times
+        ]
+        masses = [assemble_mass(basis, quad, self.field(), t) for t in traj.times]
+        boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
+        return traj, assemble_stiffness(basis, quad), masses, loads, boundary
+
+    @staticmethod
+    def assert_kinematics(derivs, dt):
+        for lower, upper in zip(derivs, derivs[1:]):
+            difference = np.empty_like(lower[1:])
+            difference[0] = lower[1] - lower[0]
+            difference[1:] = 1.5 * lower[2:] - 2.0 * lower[1:-1] + 0.5 * lower[:-2]
+            scale = max(np.abs(lower).max(), dt * np.abs(upper).max())
+            assert scale > 0.0
+            assert np.abs(difference - dt * upper[1:]).max() <= 1e-12 * scale
+
+    @given(
+        n=st.integers(1, 24),
+        tau=st.floats(-4.0, 0.0).map(lambda exponent: 10.0**exponent),
+        bc=st.sampled_from(list(BoundaryKind)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_smgt_arrays_solve_the_discrete_equations(self, n, tau, bc):
+        traj, stiffness, masses, loads, boundary = self.run(solve_smgt_linear, n, tau, bc)
+        self.assert_kinematics((traj.coeff, traj.coeff_t, traj.coeff_tt, traj.coeff_ttt), traj.dt)
+        recovered = np.array(
+            [
+                recover_third(
+                    traj.params,
+                    stiffness,
+                    masses[m],
+                    loads[m],
+                    traj.coeff[m],
+                    traj.coeff_t[m],
+                    traj.coeff_tt[m],
+                    boundary=boundary,
+                )
+                for m in range(len(traj.times))
+            ]
+        )
+        scale = np.abs(traj.coeff_ttt).max()
+        assert np.abs(recovered - traj.coeff_ttt).max() <= 1e-10 * scale
+
+    @given(n=st.integers(1, 24), bc=st.sampled_from(list(BoundaryKind)))
+    @settings(max_examples=20, deadline=None)
+    def test_westervelt_arrays_solve_the_discrete_equations(self, n, bc):
+        traj, stiffness, masses, loads, boundary = self.run(
+            solve_westervelt_linearized, n, 0.1, bc
+        )
+        self.assert_kinematics((traj.coeff, traj.coeff_t, traj.coeff_tt), traj.dt)
+        params = traj.params
+        damping = params.b * stiffness
+        mass_extra = np.zeros_like(stiffness)
+        if boundary is not None:
+            damping = damping + params.c2 * params.beta * boundary
+            mass_extra = params.b * params.beta * boundary
+        for m in range(1, len(traj.times)):
+            terms = (
+                (masses[m] + mass_extra) @ traj.coeff_tt[m],
+                damping @ traj.coeff_t[m],
+                params.c2 * (stiffness @ traj.coeff[m]),
+            )
+            scale = max(np.abs(term).max() for term in (loads[m], *terms))
+            assert np.abs(loads[m] - sum(terms)).max() <= 1e-12 * scale
 
 
 class TestMixedBoundary:

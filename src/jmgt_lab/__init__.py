@@ -23,13 +23,11 @@ from .assembly import (
 from .basis import (
     End,
     QuadratureRule,
-    Space,
     SpectralBasis,
     build_basis,
     build_quadrature,
     eval_mode,
     mode_matrix,
-    norms,
     project,
     trace,
     trace_vector,
@@ -81,7 +79,6 @@ from .nonlinear import (
     solve_jmgt,
     solve_westervelt_nonlinear,
     trajectory_distance,
-    triple_norm,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
-"""Neumann-Laplacian cosine eigenbasis on an interval, with quadrature and norms.
+"""Neumann-Laplacian cosine eigenbasis on an interval, with quadrature.
 
 On [0, L] the eigenpairs of the Neumann Laplacian are lambda_i = (i*pi/L)^2
 with eigenfunctions w_0 = 1/sqrt(L) and w_i = sqrt(2/L) * cos(i*pi*x/L).
 They are orthonormal in L2(0, L), and every Sobolev-scale norm used by the
-energy audits is diagonal in this basis.
+energy audits is diagonal in this basis (the weights live in ``energy``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "End",
-    "Space",
     "QuadratureRule",
     "SpectralBasis",
     "build_quadrature",
@@ -27,7 +26,6 @@ __all__ = [
     "trace",
     "trace_vector",
     "project",
-    "norms",
 ]
 
 #: Nodes per Gauss-Legendre panel.  With panels chosen so that the worst mode
@@ -39,15 +37,6 @@ _PANEL_POINTS = 32
 class End(Enum):
     LEFT = "left"
     RIGHT = "right"
-
-
-class Space(Enum):
-    """Sobolev-scale norms that are diagonal in the cosine basis."""
-
-    L2 = "L2"
-    H1 = "H1"
-    H1_DUAL = "H1dual"
-    LAPLACIAN_L2 = "LaplacianL2"
 
 
 @dataclass(frozen=True)
@@ -179,40 +168,3 @@ def project(
     values = np.asarray(fn(quad.nodes), dtype=float)
     values = np.broadcast_to(values, quad.nodes.shape)
     return mode_matrix(basis, quad.nodes) @ (quad.weights * values)
-
-
-def _space_weights(basis: SpectralBasis, space: Space) -> np.ndarray:
-    if space is Space.L2:
-        return np.ones(basis.n)
-    if space is Space.H1:
-        return 1.0 + basis.eigenvalues
-    if space is Space.H1_DUAL:
-        return 1.0 / (1.0 + basis.eigenvalues)
-    if space is Space.LAPLACIAN_L2:
-        return basis.eigenvalues**2
-    raise ValueError(f"unknown space tag {space!r}")
-
-
-def norms(coeffs: np.ndarray, basis: SpectralBasis, space: Space | str) -> float | np.ndarray:
-    """Sobolev-scale norm of one coefficient vector or a stack of them.
-
-    L2          -> sqrt(sum xi_i^2)
-    H1          -> sqrt(sum (1 + lambda_i) xi_i^2)
-    H1dual      -> sqrt(sum xi_i^2 / (1 + lambda_i))
-    LaplacianL2 -> sqrt(sum lambda_i^2 xi_i^2)
-
-    For a (m, n) stack the norm is taken row-wise.
-    """
-    if isinstance(space, str):
-        try:
-            space = Space(space)
-        except ValueError:
-            raise ValueError(f"unknown space tag {space!r}") from None
-    arr = np.asarray(coeffs, dtype=float)
-    if arr.shape[-1] != basis.n:
-        raise ValueError(f"coefficient length {arr.shape[-1]} does not match n = {basis.n}")
-    weights = _space_weights(basis, space)
-    result = np.sqrt(np.einsum("...i,i->...", arr**2, weights))
-    if arr.ndim == 1:
-        return float(result)
-    return result

@@ -179,8 +179,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     if get("discretization", "picard_max") < 1:
         fail("discretization", "picard_max", "must be at least 1")
     eval_grid = get("discretization", "eval_grid")
-    if eval_grid is not None and eval_grid < 1:
-        fail("discretization", "eval_grid", "must be positive")
+    if eval_grid is not None and eval_grid < 2:
+        fail("discretization", "eval_grid", "must be at least 2")
     variant_raw = get("experiment", "variant").lower()
     if variant_raw != NonlinearVariant.FULL_JMGT.value:
         fail(
@@ -197,7 +197,9 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         bc = BoundaryKind.PURE_NEUMANN
     sweep = get("experiment", "tau_sweep")
     if sweep is not None:
-        if any(value <= 0 for value in sweep):
+        if not sweep:
+            fail("experiment", "tau_sweep", "must list at least one tau")
+        elif any(value <= 0 for value in sweep):
             fail("experiment", "tau_sweep", "entries must be positive")
         elif any(b >= a for a, b in zip(sweep, sweep[1:])):
             fail("experiment", "tau_sweep", "must be strictly decreasing")

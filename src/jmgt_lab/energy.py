@@ -8,7 +8,7 @@ the boundary of an interval is a pair of points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -100,8 +100,6 @@ class EnergyRecord:
     sq_lap_t: np.ndarray | None = None
     tt_h1_accum: np.ndarray | None = None
     ttt_l2_accum: np.ndarray | None = None
-    flux: "BoundaryFlux | None" = None
-    data: "DataNorms | None" = None
 
     @property
     def low(self) -> np.ndarray:
@@ -116,6 +114,39 @@ class EnergyRecord:
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
+
+    def total(self, mode: AuditMode) -> float:
+        """Energy side of the estimate audited in ``mode``.
+
+        TAU_DEPENDENT: tau^2 ||psi_ttt||^2_{L2 (H1)*} + tau ||psi_tt||^2_{Linf L2}
+                       + ||psi_t||^2_{Linf H1}
+        TAU_UNIFORM:   the same plus ||psi_tt||^2_{L2 L2}; on a difference of
+                       iterates this is the squared contraction norm
+        HIGHER:        tau^2 ||psi_ttt||^2_{L2 L2} + tau ||psi_tt||^2_{Linf H1}
+                       + ||psi_tt||^2_{L2 H1} + ||Delta psi_t||^2_{Linf L2}
+        """
+        tau = self.tau
+        if mode is AuditMode.TAU_DEPENDENT:
+            return (
+                float(_require(self.dual_accum, "dual_accum")[-1])
+                + tau * float(_require(self.sq_tt_l2, "sq_tt_l2").max())
+                + float(_require(self.sq_t_h1, "sq_t_h1").max())
+            )
+        if mode is AuditMode.TAU_UNIFORM:
+            return (
+                float(_require(self.tt_accum, "tt_accum")[-1])
+                + float(_require(self.sq_t_h1, "sq_t_h1").max())
+                + float(_require(self.dual_accum, "dual_accum")[-1])
+                + tau * float(_require(self.sq_tt_l2, "sq_tt_l2").max())
+            )
+        if mode is AuditMode.HIGHER:
+            return (
+                float(_require(self.ttt_l2_accum, "ttt_l2_accum")[-1])
+                + tau * float(_require(self.sq_tt_h1, "sq_tt_h1").max())
+                + float(_require(self.tt_h1_accum, "tt_h1_accum")[-1])
+                + float(_require(self.sq_lap_t, "sq_lap_t").max())
+            )
+        raise ValueError(f"unknown audit mode {mode!r}")
 
 
 @dataclass
@@ -144,26 +175,26 @@ def _require(record_field, name: str):
     return record_field
 
 
-def energy_lower(traj: "Trajectory", basis: SpectralBasis, params: ModelParams | None = None) -> EnergyRecord:
+def energy_lower(traj: "Trajectory", basis: SpectralBasis) -> EnergyRecord:
     """Lower-order energies: E_low(t), the dual-norm accumulator, and A_tt.
 
     The (H1)* norm of psi_ttt uses the diagonal formula sum xi_i^2/(1+lambda_i),
     which is the exact dual norm on the span.  For a tau = 0 trajectory the
     dual accumulator is identically zero.
     """
-    params = params or traj.params
+    tau = traj.params.tau
     dt = traj.dt
     lam = basis.eigenvalues
     sq_tt_l2 = np.sum(traj.coeff_tt**2, axis=1)
     sq_t_h1 = np.sum((1.0 + lam) * traj.coeff_t**2, axis=1)
-    if params.tau > 0.0 and traj.coeff_ttt is not None:
+    if tau > 0.0 and traj.coeff_ttt is not None:
         sq_ttt_dual = np.sum(traj.coeff_ttt**2 / (1.0 + lam), axis=1)
-        dual_accum = params.tau**2 * trapezoid_running(sq_ttt_dual, dt)
+        dual_accum = tau**2 * trapezoid_running(sq_ttt_dual, dt)
     else:
         dual_accum = np.zeros(len(traj.times))
     return EnergyRecord(
         times=traj.times,
-        tau=params.tau,
+        tau=tau,
         sq_tt_l2=sq_tt_l2,
         sq_t_h1=sq_t_h1,
         dual_accum=dual_accum,
@@ -171,23 +202,23 @@ def energy_lower(traj: "Trajectory", basis: SpectralBasis, params: ModelParams |
     )
 
 
-def energy_higher(traj: "Trajectory", basis: SpectralBasis, params: ModelParams | None = None) -> EnergyRecord:
+def energy_higher(traj: "Trajectory", basis: SpectralBasis) -> EnergyRecord:
     """Higher-order energies: E_high(t), the H1 accumulator of psi_tt, and
     the tau^2-weighted L2 accumulator of psi_ttt."""
-    params = params or traj.params
+    tau = traj.params.tau
     dt = traj.dt
     lam = basis.eigenvalues
     sq_tt_h1 = np.sum((1.0 + lam) * traj.coeff_tt**2, axis=1)
     sq_grad_tt = np.sum(lam * traj.coeff_tt**2, axis=1)
     sq_lap_t = np.sum(lam**2 * traj.coeff_t**2, axis=1)
-    if params.tau > 0.0 and traj.coeff_ttt is not None:
+    if tau > 0.0 and traj.coeff_ttt is not None:
         sq_ttt_l2 = np.sum(traj.coeff_ttt**2, axis=1)
-        ttt_l2_accum = params.tau**2 * trapezoid_running(sq_ttt_l2, dt)
+        ttt_l2_accum = tau**2 * trapezoid_running(sq_ttt_l2, dt)
     else:
         ttt_l2_accum = np.zeros(len(traj.times))
     return EnergyRecord(
         times=traj.times,
-        tau=params.tau,
+        tau=tau,
         sq_tt_h1=sq_tt_h1,
         sq_grad_tt=sq_grad_tt,
         sq_lap_t=sq_lap_t,
@@ -314,12 +345,12 @@ def data_norms(
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Ratio of an estimate's energy side to its data side, plus metadata.
+    """Ratio of an estimate's energy side to its data side.
 
     Absolute estimate constants are never reported; sweeps of ratios are the
-    judgement mechanism.  ``log_constant`` tracks the natural log of the
-    tau-dependent constant shape (with unit prefactors) in TAU_DEPENDENT
-    mode and is None otherwise.
+    judgement mechanism.  ``lhs_total`` is ``EnergyRecord.total(mode)``.
+    ``log_constant`` tracks the natural log of the tau-dependent constant
+    shape (with unit prefactors) in TAU_DEPENDENT mode and is None otherwise.
     """
 
     mode: AuditMode
@@ -328,17 +359,9 @@ class AuditReport:
     ratio: float
     log_constant: float | None = None
     flags: tuple[str, ...] = ()
-    metadata: dict = dataclass_field(default_factory=dict)
 
 
-def audit_estimate(
-    energy: EnergyRecord,
-    data: DataNorms,
-    mode: AuditMode,
-    alpha_sup: float = 1.0,
-    alpha_inf: float | None = None,
-    grad_alpha_l3: float | None = None,
-) -> AuditReport:
+def audit_estimate(energy: EnergyRecord, data: DataNorms, mode: AuditMode) -> AuditReport:
     """Compare one run's energy total against its data total.
 
     TAU_DEPENDENT uses the lower estimate's left side and additionally tracks
@@ -349,31 +372,8 @@ def audit_estimate(
     """
     tau = energy.tau
     horizon = energy.horizon
-    if mode is AuditMode.TAU_DEPENDENT:
-        lhs = (
-            float(_require(energy.dual_accum, "dual_accum")[-1])
-            + tau * float(_require(energy.sq_tt_l2, "sq_tt_l2").max())
-            + float(_require(energy.sq_t_h1, "sq_t_h1").max())
-        )
-        rhs = data.lower_total()
-    elif mode is AuditMode.TAU_UNIFORM:
-        lhs = (
-            float(_require(energy.tt_accum, "tt_accum")[-1])
-            + float(_require(energy.sq_t_h1, "sq_t_h1").max())
-            + float(_require(energy.dual_accum, "dual_accum")[-1])
-            + tau * float(_require(energy.sq_tt_l2, "sq_tt_l2").max())
-        )
-        rhs = data.lower_total()
-    elif mode is AuditMode.HIGHER:
-        lhs = (
-            float(_require(energy.ttt_l2_accum, "ttt_l2_accum")[-1])
-            + tau * float(_require(energy.sq_tt_h1, "sq_tt_h1").max())
-            + float(_require(energy.tt_h1_accum, "tt_h1_accum")[-1])
-            + float(_require(energy.sq_lap_t, "sq_lap_t").max())
-        )
-        rhs = data.higher_total(tau)
-    else:
-        raise ValueError(f"unknown audit mode {mode!r}")
+    lhs = energy.total(mode)
+    rhs = data.higher_total(tau) if mode is AuditMode.HIGHER else data.lower_total()
 
     if rhs == 0.0:
         if lhs > 0.0:
@@ -389,19 +389,15 @@ def audit_estimate(
     if mode is AuditMode.TAU_DEPENDENT:
         if tau <= 0.0:
             raise ValueError("the tau-dependent audit requires tau > 0")
+        # the coefficient bound sup|alpha| is 1 for every audited run
         log_constant = (
-            float(np.log(alpha_sup**2 / tau**2 + horizon**2 + 1.0))
-            + (1.0 / tau + alpha_sup / tau + 1.0 + horizon) * horizon
+            float(np.log(1.0 / tau**2 + horizon**2 + 1.0))
+            + (2.0 / tau + 1.0 + horizon) * horizon
             + float(np.log1p(tau))
         )
         if log_constant > _LOG_CONSTANT_FLAG:
             flags.append("constant not tau-robust")
 
-    metadata = {"tau": tau, "horizon": horizon, "alpha_sup": alpha_sup}
-    if alpha_inf is not None:
-        metadata["alpha_inf"] = alpha_inf
-    if grad_alpha_l3 is not None:
-        metadata["grad_alpha_l3"] = grad_alpha_l3
     return AuditReport(
         mode=mode,
         lhs_total=lhs,
@@ -409,7 +405,6 @@ def audit_estimate(
         ratio=ratio,
         log_constant=log_constant,
         flags=tuple(flags),
-        metadata=metadata,
     )
 
 
@@ -419,8 +414,6 @@ def ode_residual_z(
     field: CoefficientField,
     f: SpaceTimeFn | None = None,
     g: WindowedSignal | None = None,
-    params: ModelParams | None = None,
-    quad_points: int | None = None,
 ) -> np.ndarray:
     """Residual of the first-order ODE satisfied by z = -Delta psi + psi.
 
@@ -431,10 +424,10 @@ def ode_residual_z(
     in mixed mode).  z_t is taken by first-order finite differences, so the
     returned per-step max-abs residual decays at first order in dt.
     """
-    params = params or traj.params
+    params = traj.params
     if params.tau <= 0.0:
         raise ValueError("the z-ODE diagnostic requires tau > 0")
-    quad = build_quadrature(basis.length, quad_points or 4 * basis.n)
+    quad = build_quadrature(basis.length, 4 * basis.n)
     lam = basis.eigenvalues
     dt = traj.dt
     steps = traj.n_steps

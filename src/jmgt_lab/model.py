@@ -150,7 +150,8 @@ class SolverConfig:
     exactly at the horizon.  ``quad_points`` and ``eval_grid`` may be
     omitted; they then default to 4 * n_modes quadrature nodes and
     8 * n_modes spatial sample points, the smallest counts that resolve every
-    mode product and mode extremum used in the checks.
+    mode product and mode extremum used in the checks.  ``eval_grid`` samples
+    both ends of the interval, so it is at least 2.
     """
 
     dt: float
@@ -185,8 +186,8 @@ class SolverConfig:
             raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
         if self.eval_grid is None:
             object.__setattr__(self, "eval_grid", 8 * self.n_modes)
-        elif self.eval_grid < 1:
-            raise ValueError(f"eval_grid must be positive, got {self.eval_grid}")
+        elif self.eval_grid < 2:
+            raise ValueError(f"eval_grid must be at least 2, got {self.eval_grid}")
 
     @property
     def n_steps(self) -> int:

@@ -9,14 +9,14 @@ the energy norm in which the underlying map contracts for small data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .assembly import SpaceTimeFn, clamp_h, constant_field, field_from_trajectory
 from .basis import SpectralBasis, mode_matrix
-from .energy import trapezoid_total
+from .energy import AuditMode, energy_lower
 from .exceptions import NonDegeneracyViolated, PicardDivergenceError
 from .integrate import Trajectory, solve_smgt_linear, solve_westervelt_linearized, zero_trajectory
 from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal
@@ -25,7 +25,6 @@ __all__ = [
     "NonlinearVariant",
     "PicardReport",
     "clamp_h",
-    "triple_norm",
     "trajectory_distance",
     "degeneracy_check",
     "solve_jmgt",
@@ -52,7 +51,8 @@ class PicardReport:
 
     ``differences[m]`` is the energy-norm distance between iterates m and
     m+1 (the first entry measures the distance from the zero initial
-    iterate); ``factors`` are consecutive ratios of differences.
+    iterate); ``factors`` are consecutive ratios of differences;
+    ``iterate_norms[m]`` is the distance of iterate m+1 from the zero iterate.
     """
 
     iterations: int
@@ -63,50 +63,33 @@ class PicardReport:
     iterate_norms: list[float]
 
 
-def triple_norm(
-    basis: SpectralBasis,
-    times: np.ndarray,
-    coeff_t: np.ndarray,
-    coeff_tt: np.ndarray,
-    coeff_ttt: np.ndarray | None,
-    tau: float,
-) -> float:
-    """Energy norm in which the fixed-point map contracts.
+def trajectory_distance(a: Trajectory, b: Trajectory, basis: SpectralBasis) -> float:
+    """|||a - b|||, the energy norm in which the fixed-point map contracts.
 
     |||v|||^2 = tau^2 ||v_ttt||^2_{L2 (H1)*} + tau ||v_tt||^2_{Linf L2}
-              + ||v_tt||^2_{L2 L2} + ||v_t||^2_{Linf H1},
+              + ||v_tt||^2_{L2 L2} + ||v_t||^2_{Linf H1}
 
-    evaluated discretely (trapezoid in time, max over stored steps).  For
-    tau = 0 the first two terms drop, which is the Westervelt accounting.
+    is the TAU_UNIFORM energy side of ``energy_lower(v)`` at the parameters
+    of ``a`` (trapezoid in time, max over stored steps).  For tau = 0 the
+    first two terms drop, which is the Westervelt accounting.
     """
-    dt = float(times[1] - times[0])
-    lam = basis.eigenvalues
-    sq_tt = np.sum(coeff_tt**2, axis=1)
-    total = trapezoid_total(sq_tt, dt) + float(np.sum((1.0 + lam) * coeff_t**2, axis=1).max())
-    if tau > 0.0:
-        if coeff_ttt is None:
-            raise ValueError("tau > 0 norm requires third-derivative coefficients")
-        sq_dual = np.sum(coeff_ttt**2 / (1.0 + lam), axis=1)
-        total += tau**2 * trapezoid_total(sq_dual, dt) + tau * float(sq_tt.max())
-    return float(np.sqrt(total))
-
-
-def trajectory_distance(a: Trajectory, b: Trajectory, basis: SpectralBasis) -> float:
-    """|||a - b||| on a shared time grid."""
     if a.times.shape != b.times.shape or not np.allclose(a.times, b.times):
         raise ValueError("trajectories live on different time grids")
-    tau = a.params.tau
-    third = None
-    if tau > 0.0:
-        third = a.coeff_ttt - b.coeff_ttt
-    return triple_norm(basis, a.times, a.coeff_t - b.coeff_t, a.coeff_tt - b.coeff_tt, third, tau)
+    difference = replace(
+        a,
+        coeff=a.coeff - b.coeff,
+        coeff_t=a.coeff_t - b.coeff_t,
+        coeff_tt=a.coeff_tt - b.coeff_tt,
+        coeff_ttt=None if a.coeff_ttt is None else a.coeff_ttt - b.coeff_ttt,
+    )
+    return float(np.sqrt(energy_lower(difference, basis).total(AuditMode.TAU_UNIFORM)))
 
 
 def _margin_series(
     traj: Trajectory, basis: SpectralBasis, k: float, eval_grid: int
 ) -> np.ndarray:
     """Per-step minimum over the spatial grid of 1 - 2k*psi_t."""
-    points = np.linspace(0.0, basis.length, max(int(eval_grid), 2))
+    points = np.linspace(0.0, basis.length, eval_grid)
     velocity = traj.coeff_t @ mode_matrix(basis, points)
     return (1.0 - 2.0 * k * velocity).min(axis=1)
 
@@ -124,6 +107,8 @@ def degeneracy_check(
     bounds the extremum of a band-limited cosine sum to well under 1%.
     """
     grid = eval_grid if eval_grid is not None else 8 * basis.n
+    if grid < 2:
+        raise ValueError(f"eval_grid must be at least 2, got {grid}")
     return float(_margin_series(traj, basis, k, grid).min())
 
 
@@ -158,43 +143,30 @@ def _picard_loop(
     guarded: bool,
     with_third: bool,
 ) -> tuple[Trajectory, PicardReport]:
-    previous = zero_trajectory(params, basis, config, bc, with_third=with_third)
+    zero = zero_trajectory(params, basis, config, bc, with_third=with_third)
+    previous = zero
     field = constant_field(1.0)
     differences: list[float] = []
     iterate_norms: list[float] = []
-    current = previous
-    converged = False
-    iterations = 0
     for iteration in range(1, config.picard_max + 1):
-        iterations = iteration
         current = solve_once(field)
         if guarded:
             _guard_degeneracy(current, basis, params.k, config.eval_grid, iteration)
         diff = trajectory_distance(current, previous, basis)
         differences.append(diff)
-        iterate_norms.append(
-            triple_norm(
-                basis,
-                current.times,
-                current.coeff_t,
-                current.coeff_tt,
-                current.coeff_ttt,
-                current.params.tau,
-            )
-        )
+        iterate_norms.append(trajectory_distance(current, zero, basis))
         if diff < config.picard_tol:
-            converged = True
             break
         field = field_from_trajectory(basis, current, params.k, clamped=clamped)
         previous = current
-    if not converged:
+    else:
         raise PicardDivergenceError(differences, config.picard_max)
     factors = [
         differences[i] / differences[i - 1] if differences[i - 1] > 0.0 else 0.0
         for i in range(1, len(differences))
     ]
     report = PicardReport(
-        iterations=iterations,
+        iterations=len(differences),
         differences=differences,
         factors=factors,
         converged=True,
@@ -257,8 +229,6 @@ def solve_westervelt_nonlinear(
     coefficient is the unclamped 1 - 2k*psi_t, so the degeneracy guard
     applies exactly as in the full third-order model.
     """
-    from dataclasses import replace
-
     params_zero = replace(params, tau=0.0)
 
     def solve_once(field):

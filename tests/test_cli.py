@@ -113,6 +113,20 @@ class TestParsing:
         with pytest.raises(ConfigFileError):
             parse_config_text(config_with(tau_sweep="1e-2, 1e-1"))
 
+    def test_empty_tau_sweep_rejected(self):
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(config_with(tau_sweep=""))
+        (message,) = info.value.errors
+        assert "tau_sweep must list at least one tau" in message
+
+    def test_single_point_eval_grid_rejected(self):
+        # the degeneracy grid samples both interval ends
+        text = BASE_CONFIG.replace("n_modes = 6", "n_modes = 6\neval_grid = 1")
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(text)
+        (message,) = info.value.errors
+        assert "eval_grid must be at least 2" in message
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# preamble\n" + BASE_CONFIG.replace(
             "c2 = 1.0", "c2 = 1.0  # speed of sound squared"
@@ -303,6 +317,15 @@ class TestMain:
         code = main(["solve-jmgt", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "solve-relaxed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", ["energy-audit", "limit-study"])
+    def test_main_rejects_empty_tau_sweep(self, tmp_path, capsys, subcommand):
+        path = tmp_path / "experiment.cfg"
+        path.write_text(config_with(tau_sweep=""), encoding="utf-8")
+        code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "at least one tau" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_main_missing_file(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jmgt_lab import (
     AuditMode,
@@ -151,6 +153,70 @@ class TestEnergyHigher:
         assert record.ttt_l2_accum[-1] == pytest.approx(
             18.0 * math.pi * params.tau**2 * horizon, rel=1e-3
         )
+
+
+class TestRecordWeights:
+    """Sobolev weights of the energy records on fields constant in time."""
+
+    def records(self, vec, tau=0.1):
+        basis = build_basis(L, len(vec))
+        params = ModelParams(c2=1.0, delta=1.0, tau=tau)
+        config = SolverConfig(dt=0.01, t_final=1.0, n_modes=len(vec))
+
+        def fill(times, arrays):
+            for series in arrays.values():
+                series[:] = vec
+
+        traj = synthetic_trajectory(basis, config, params, fill)
+        return energy_lower(traj, basis), energy_higher(traj, basis)
+
+    def sq_dual(self, lower):
+        # dual_accum = tau^2 * T * |psi_ttt|^2_(H1)* on a constant field, T = 1
+        return lower.dual_accum[-1] / lower.tau**2
+
+    def test_constant_mode_weights(self):
+        lower, higher = self.records(np.array([1.0, 0.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(lower.sq_tt_l2, 1.0)
+        np.testing.assert_array_equal(lower.sq_t_h1, 1.0)
+        assert self.sq_dual(lower) == pytest.approx(1.0, rel=1e-13)
+        np.testing.assert_array_equal(higher.sq_lap_t, 0.0)
+
+    def test_second_mode_weights(self):
+        # lambda_2 = 4 on [0, pi]
+        lower, higher = self.records(np.array([0.0, 0.0, 1.0, 0.0]))
+        np.testing.assert_allclose(lower.sq_t_h1, 5.0, rtol=1e-15)
+        np.testing.assert_allclose(higher.sq_tt_h1, 5.0, rtol=1e-15)
+        assert self.sq_dual(lower) == pytest.approx(1.0 / 5.0, rel=1e-13)
+
+    @given(st.lists(st.floats(-10, 10), min_size=5, max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_scale_ordering(self, values):
+        lower, _ = self.records(np.asarray(values))
+        dual, l2, h1 = self.sq_dual(lower), lower.tt_accum[-1], lower.sq_t_h1[-1]
+        assert dual <= l2 * (1 + 1e-12)
+        assert l2 <= h1 * (1 + 1e-12)
+
+    def test_dual_term_is_exact_dual_of_h1_on_span(self):
+        # maximize the L2 pairing over (a dense grid of) unit-H1 vectors
+        xi = np.array([0.7, -1.3, 0.4])
+        lower, _ = self.records(xi)
+        dual = math.sqrt(self.sq_dual(lower))
+        thetas = np.linspace(0.0, math.pi, 181)
+        phis = np.linspace(0.0, 2.0 * math.pi, 361)
+        theta_grid, phi_grid = np.meshgrid(thetas, phis, indexing="ij")
+        directions = np.stack(
+            [
+                np.sin(theta_grid) * np.cos(phi_grid),
+                np.sin(theta_grid) * np.sin(phi_grid),
+                np.cos(theta_grid),
+            ],
+            axis=-1,
+        ).reshape(-1, 3)
+        h1_weights = 1.0 + build_basis(L, 3).eigenvalues
+        h1_norms = np.sqrt((directions**2 * h1_weights).sum(axis=1))
+        pairings = np.abs(directions @ xi) / h1_norms
+        assert pairings.max() <= dual * (1 + 1e-12)
+        assert pairings.max() >= 0.999 * dual
 
 
 class TestBoundaryFlux:

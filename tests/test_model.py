@@ -77,6 +77,8 @@ class TestParamValidation:
             dict(dt=0.01, t_final=1.0, n_modes=4, quad_points=8),
             dict(dt=0.01, t_final=1.0, n_modes=4, picard_tol=0.0),
             dict(dt=0.01, t_final=1.0, n_modes=4, picard_max=0),
+            # the degeneracy grid samples both interval ends
+            dict(dt=0.01, t_final=1.0, n_modes=4, eval_grid=1),
         ],
     )
     def test_invalid_solver_config_rejected(self, kwargs):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from jmgt_lab import (
     solve_jmgt,
     solve_westervelt_nonlinear,
     trajectory_distance,
+    zero_trajectory,
 )
 
 L = math.pi
@@ -89,6 +91,34 @@ class TestDegeneracyCheck:
         expected = 1.0 - 2.0 * abs(params.k) * amplitude * math.sqrt(2.0 / L)
         margin = degeneracy_check(traj, basis, params.k, eval_grid=4096)
         assert margin == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("eval_grid", [1, 0])
+    def test_grid_without_both_ends_rejected(self, eval_grid):
+        basis, params, _, config = small_setup(n=4)
+        traj = zero_trajectory(params, basis, config)
+        with pytest.raises(ValueError, match="eval_grid must be at least 2"):
+            degeneracy_check(traj, basis, params.k, eval_grid=eval_grid)
+
+
+class TestContractionNorm:
+    @pytest.mark.parametrize("tau", [0.3, 0.0])
+    def test_single_mode_closed_form(self, tau):
+        # mode 2 on [0, pi] (lambda = 4) with v_t = a t, v_tt = a, v_ttt = 0; the
+        # trapezoid rule is exact on the constant |v_tt|^2, so
+        # |||v|||^2 = tau a^2 + a^2 T + (1 + lambda) a^2 T^2
+        a, horizon = 1.5, 1.0
+        basis = build_basis(L, 4)
+        config = SolverConfig(dt=0.01, t_final=horizon, n_modes=4)
+        params = ModelParams(c2=1.0, delta=1.0, tau=tau)
+        zero = zero_trajectory(params, basis, config, with_third=tau > 0.0)
+        coeff, coeff_t, coeff_tt = (np.zeros_like(zero.coeff) for _ in range(3))
+        coeff[:, 2] = 0.5 * a * zero.times**2
+        coeff_t[:, 2] = a * zero.times
+        coeff_tt[:, 2] = a
+        v = replace(zero, coeff=coeff, coeff_t=coeff_t, coeff_tt=coeff_tt)
+        expected = math.sqrt(tau * a**2 + a**2 * horizon + 5.0 * a**2 * horizon**2)
+        assert trajectory_distance(v, zero, basis) == pytest.approx(expected, rel=1e-13)
+        assert trajectory_distance(zero, v, basis) == pytest.approx(expected, rel=1e-13)
 
 
 class TestPicardLoop:

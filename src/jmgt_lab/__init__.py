@@ -26,10 +26,8 @@ from .basis import (
     SpectralBasis,
     build_basis,
     build_quadrature,
-    eval_mode,
     mode_matrix,
     project,
-    trace,
     trace_vector,
 )
 from .energy import (

@@ -1,8 +1,9 @@
 """Assembly of the Galerkin ODE system: stiffness, time-varying mass,
 rank-one boundary matrices, load vectors, and the boundary-data lift.
 
-The coefficient field alpha(x, t) enters only through the mass matrix
-M(t)_ij = (alpha w_i, w_j); everything else is time-independent.
+The coefficient alpha(x, t) enters only through the mass matrix
+M(t)_ij = (alpha w_i, w_j), built from alpha sampled at the grid times and
+quadrature nodes; loads are assembled for a whole time grid at once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "assemble_mass",
     "assemble_boundary",
     "assemble_load",
+    "assemble_loads",
+    "sample_field",
     "harmonic_extension",
     "lift_forcing",
     "constant_field",
@@ -71,6 +74,11 @@ def clamp_h(s, k: float):
     return 1.0 - np.clip(2.0 * k * np.asarray(s, dtype=float), -1.0, 1.0)
 
 
+def _frozen_coefficient(velocity: np.ndarray, k: float, clamped: bool) -> np.ndarray:
+    """The Picard coefficient from psi_t values: clamp_h(psi_t, k) or 1 - 2k*psi_t."""
+    return clamp_h(velocity, k) if clamped else 1.0 - 2.0 * k * velocity
+
+
 def field_from_trajectory(
     basis: SpectralBasis,
     traj: "Trajectory",
@@ -90,9 +98,18 @@ def field_from_trajectory(
         if m == len(times) or times[m] != t:
             raise ValueError(f"t = {t} is not a grid time of the trajectory")
         velocity = coeff_t[m] @ mode_matrix(basis, np.atleast_1d(np.asarray(x, dtype=float)))
-        return clamp_h(velocity, k) if clamped else 1.0 - 2.0 * k * velocity
+        return _frozen_coefficient(velocity, k, clamped)
 
     return CoefficientField(value=_value)
+
+
+def sample_field(field: CoefficientField, x: np.ndarray, times) -> np.ndarray:
+    """alpha[m] = field.value(x, times[m]) (scalars broadcast); the only caller of ``value``."""
+    pts = np.asarray(x, dtype=float)
+    alpha = np.empty((len(times),) + pts.shape)
+    for m, t in enumerate(times):
+        alpha[m] = field.value(pts, float(t))
+    return alpha
 
 
 def _weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -113,8 +130,7 @@ def assemble_mass(
     t: float,
 ) -> np.ndarray:
     """Mass matrix M(t)_ij = integral of alpha(x, t) w_i w_j."""
-    alpha = np.broadcast_to(np.asarray(field.value(quad.nodes, t), dtype=float), quad.nodes.shape)
-    return _weighted_gram(mode_matrix(basis, quad.nodes), quad.weights * alpha)
+    return TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, [t])).matrix(0)
 
 
 def assemble_boundary(basis: SpectralBasis, end: End) -> np.ndarray:
@@ -128,32 +144,49 @@ def assemble_boundary(basis: SpectralBasis, end: End) -> np.ndarray:
 
 
 class TimeVaryingMass:
-    """Mass matrices M(t_m) of one run on its time grid.
+    """Mass matrices M(t_m) of one run from its sampled coefficient.
 
-    The field is evaluated once per grid time at the quadrature nodes when
-    the sampler is built; ``matrix(m)`` and ``alpha_values(m)`` index by
-    step.  A sampler belongs to one run; the underlying basis and quadrature
-    may be shared read-only.
+    ``alpha[m]`` holds alpha(., t_m) at the quadrature nodes; ``matrix(m)``
+    and ``alpha_values(m)`` index by step.
     """
 
-    def __init__(
-        self,
-        basis: SpectralBasis,
-        quad: QuadratureRule,
-        field: CoefficientField,
-        times: np.ndarray,
-    ):
+    def __init__(self, basis: SpectralBasis, quad: QuadratureRule, alpha: np.ndarray):
         self.quad = quad
         self._modes = mode_matrix(basis, quad.nodes)
-        self._alpha = np.empty((len(times), quad.nodes.size))
-        for m, t in enumerate(times):
-            self._alpha[m] = field.value(quad.nodes, float(t))
+        self._alpha = alpha
 
     def alpha_values(self, m: int) -> np.ndarray:
         return self._alpha[m]
 
     def matrix(self, m: int) -> np.ndarray:
         return _weighted_gram(self._modes, self.quad.weights * self.alpha_values(m))
+
+
+def assemble_loads(
+    basis: SpectralBasis,
+    quad: QuadratureRule,
+    f: SpaceTimeFn | None,
+    g: WindowedSignal | None,
+    params: ModelParams,
+    times,
+    bc: BoundaryKind = BoundaryKind.PURE_NEUMANN,
+) -> np.ndarray:
+    """Loads F_i(t) = (f(., t), w_i) + (c2*g(t) + b*g_t(t)) * w_i(0), one row per time.
+
+    The signal always drives the left end; in MIXED mode the right end is
+    handled by the boundary matrices, so the load is identical.
+    """
+    times = np.asarray(times, dtype=float)
+    loads = np.zeros((times.size, basis.n))
+    if f is not None:
+        modes = mode_matrix(basis, quad.nodes)
+        for m, t in enumerate(times):
+            values = np.broadcast_to(np.asarray(f(quad.nodes, t), dtype=float), quad.nodes.shape)
+            loads[m] += modes @ (quad.weights * values)
+    if g is not None:
+        gain = params.c2 * signal_eval(g, times, 0) + params.b * signal_eval(g, times, 1)
+        loads += np.outer(gain, trace_vector(basis, End.LEFT))
+    return loads
 
 
 def assemble_load(
@@ -165,19 +198,8 @@ def assemble_load(
     t: float,
     bc: BoundaryKind = BoundaryKind.PURE_NEUMANN,
 ) -> np.ndarray:
-    """Load vector F_i(t) = (f(., t), w_i) + (c2*g(t) + b*g_t(t)) * w_i(0).
-
-    The signal always drives the left end; in MIXED mode the right end is
-    handled by the boundary matrices, so the load is identical.
-    """
-    load = np.zeros(basis.n)
-    if f is not None:
-        load += project(basis, quad, lambda x: f(x, t))
-    if g is not None:
-        g0 = signal_eval(g, t, 0)
-        g1 = signal_eval(g, t, 1)
-        load += (params.c2 * g0 + params.b * g1) * trace_vector(basis, End.LEFT)
-    return load
+    """Load vector F(t) at one time; see ``assemble_loads``."""
+    return assemble_loads(basis, quad, f, g, params, [t], bc)[0]
 
 
 @dataclass(frozen=True)
@@ -244,7 +266,7 @@ def lift_forcing(
     def source(x: np.ndarray) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
         profile = unit.profile(pts)
-        total = (static_gain - np.asarray(field.value(pts, t), dtype=float) * g2) * profile
+        total = (static_gain - sample_field(field, pts, [t])[0] * g2) * profile
         if f is not None:
             total = total + f(pts, t)
         return total

@@ -21,9 +21,7 @@ __all__ = [
     "SpectralBasis",
     "build_quadrature",
     "build_basis",
-    "eval_mode",
     "mode_matrix",
-    "trace",
     "trace_vector",
     "project",
 ]
@@ -124,26 +122,6 @@ def mode_matrix(basis: SpectralBasis, x: np.ndarray, deriv: int = 0) -> np.ndarr
     if deriv == 2:
         return -basis.eigenvalues[:, None] * norm * np.cos(phase)
     raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
-
-
-def eval_mode(basis: SpectralBasis, i: int, x, deriv: int = 0):
-    """Evaluate mode i (or a derivative) at position(s) x in [0, length]."""
-    if not 0 <= i < basis.n:
-        raise IndexError(f"mode index {i} out of range [0, {basis.n})")
-    pts = np.asarray(x, dtype=float)
-    if np.any(pts < 0.0) or np.any(pts > basis.length):
-        raise ValueError(f"position outside [0, {basis.length}]")
-    values = mode_matrix(basis, np.atleast_1d(pts), deriv=deriv)[i]
-    if np.isscalar(x) or pts.ndim == 0:
-        return float(values[0])
-    return values
-
-
-def trace(basis: SpectralBasis, i: int, end: End) -> float:
-    """Boundary value w_i(0) or w_i(L)."""
-    if not 0 <= i < basis.n:
-        raise IndexError(f"mode index {i} out of range [0, {basis.n})")
-    return float(trace_vector(basis, end)[i])
 
 
 def trace_vector(basis: SpectralBasis, end: End) -> np.ndarray:

@@ -19,7 +19,8 @@ from .assembly import (
     SpaceTimeFn,
     TimeVaryingMass,
     assemble_boundary,
-    assemble_load,
+    assemble_loads,
+    sample_field,
 )
 from .basis import End, SpectralBasis, build_quadrature, trace_vector
 from .exceptions import InconsistentEnergyError, UnsupportedOrderError
@@ -317,11 +318,10 @@ def data_norms(
         raise UnsupportedOrderError(
             f"data norms up to order {max_order} requested; signal supports {MAX_SIGNAL_ORDER}"
         )
-    steps = config.n_steps
-    times = config.dt * np.arange(steps + 1)
+    times = config.times
     sups, l2s = [], []
     for m in range(max_order + 1):
-        series = signal_eval(g, times, m) if g is not None else np.zeros(steps + 1)
+        series = signal_eval(g, times, m) if g is not None else np.zeros(times.size)
         sups.append(float(np.abs(series).max()))
         l2s.append(float(np.sqrt(trapezoid_total(series**2, config.dt))))
     source_l2l2 = source_h1l2 = 0.0
@@ -430,10 +430,10 @@ def ode_residual_z(
     quad = build_quadrature(basis.length, 4 * basis.n)
     lam = basis.eigenvalues
     dt = traj.dt
-    steps = traj.n_steps
     b = params.b
 
-    masses = TimeVaryingMass(basis, quad, field, traj.times)
+    masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, traj.times))
+    loads = assemble_loads(basis, quad, f, g, params, traj.times, traj.bc)
     boundary = assemble_boundary(basis, End.RIGHT) if traj.bc is BoundaryKind.MIXED else None
 
     z = (1.0 + lam) * traj.coeff
@@ -441,9 +441,8 @@ def ode_residual_z(
     z_rate[:-1] = (z[1:] - z[:-1]) / dt
     z_rate[-1] = (z[-1] - z[-2]) / dt
 
-    residual_max = np.empty(steps + 1)
-    for m, t in enumerate(traj.times):
-        load = assemble_load(basis, quad, f, g, params, t, traj.bc)
+    residual_max = np.empty(len(loads))
+    for m, load in enumerate(loads):
         if boundary is not None:
             load = load - params.beta * (
                 b * (boundary @ traj.coeff_tt[m]) + params.c2 * (boundary @ traj.coeff_t[m])

@@ -46,16 +46,17 @@ class NonDegeneracyViolated(SolverFailure):
 
 
 class PicardDivergenceError(SolverFailure):
-    """The fixed-point loop hit its iteration cap without converging."""
+    """The fixed-point loop diverged (stopped before ``max_iterations``, its
+    differences growing) or hit its iteration cap without converging."""
 
     def __init__(self, differences: list[float], max_iterations: int):
         self.differences = differences
         self.max_iterations = max_iterations
         last = differences[-1] if differences else float("nan")
-        super().__init__(
-            f"fixed-point loop did not converge within {max_iterations} iterations "
-            f"(last difference {last:.6g})"
-        )
+        reason = f"did not converge within {max_iterations} iterations"
+        if len(differences) < max_iterations:
+            reason = f"diverged at iteration {len(differences)} of at most {max_iterations}"
+        super().__init__(f"fixed-point loop {reason} (last difference {last:.6g})")
 
 
 class CompatibilityError(ValueError, JmgtLabError):

@@ -4,7 +4,8 @@ Both solvers step their momentum balance with BDF2 after a single
 implicit-Euler startup step.  The pair is A-stable and strongly damping at
 infinity, which the third-order system needs because tau multiplies its
 highest derivative.  Each step solves one n x n system for the highest stored
-derivative; the lower ones follow by back-substitution.
+derivative; the lower ones follow by back-substitution.  The stepping core
+takes arrays only: alpha at the grid times and quadrature nodes, and the loads.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from .assembly import (
     SpaceTimeFn,
     TimeVaryingMass,
     assemble_boundary,
-    assemble_load,
+    assemble_loads,
     assemble_stiffness,
+    sample_field,
 )
-from .basis import End, SpectralBasis, build_quadrature
+from .basis import End, QuadratureRule, SpectralBasis, build_quadrature
 from .exceptions import CompatibilityError, SingularStepMatrixError
 from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal, validate_compatibility
 
@@ -73,11 +75,9 @@ def zero_trajectory(
     with_third: bool = True,
 ) -> Trajectory:
     """Identically zero trajectory on the config's time grid."""
-    steps = config.n_steps
-    times = config.dt * np.arange(steps + 1)
-    shape = (steps + 1, basis.n)
+    shape = (config.n_steps + 1, basis.n)
     return Trajectory(
-        times=times,
+        times=config.times,
         coeff=np.zeros(shape),
         coeff_t=np.zeros(shape),
         coeff_tt=np.zeros(shape),
@@ -119,13 +119,22 @@ def recover_third(
     return residual / params.tau
 
 
-def _check_signal(g: WindowedSignal | None, bc: BoundaryKind) -> None:
-    if g is None:
-        return
-    required = 4 if bc is BoundaryKind.MIXED else 3
-    violations = validate_compatibility(g, required)
-    if violations:
-        raise CompatibilityError(violations, required)
+def _prepare_data(
+    params: ModelParams,
+    basis: SpectralBasis,
+    f: SpaceTimeFn | None,
+    g: WindowedSignal | None,
+    config: SolverConfig,
+    bc: BoundaryKind,
+) -> tuple[QuadratureRule, np.ndarray]:
+    """Check the signal, then build the run's quadrature and its loads at every grid time."""
+    if g is not None:
+        required = 4 if bc is BoundaryKind.MIXED else 3
+        violations = validate_compatibility(g, required)
+        if violations:
+            raise CompatibilityError(violations, required)
+    quad = build_quadrature(basis.length, config.quad_points)
+    return quad, assemble_loads(basis, quad, f, g, params, config.times, bc)
 
 
 def _solve_step(matrix: np.ndarray, rhs: np.ndarray, step: int, time: float) -> np.ndarray:
@@ -142,13 +151,15 @@ def _integrate(
     order: int,
     params: ModelParams,
     basis: SpectralBasis,
-    field: CoefficientField,
-    f: SpaceTimeFn | None,
-    g: WindowedSignal | None,
+    quad: QuadratureRule,
+    alpha: np.ndarray,
+    loads: np.ndarray,
     config: SolverConfig,
     bc: BoundaryKind,
 ) -> Trajectory:
     """BDF2 core of both solvers; ``order`` is the system's order in time (3 or 2).
+
+    ``alpha[m]`` (at the nodes of ``quad``) and ``loads[m]`` belong to grid time m.
 
     The stored derivatives are xi and its first ``order - 1`` time
     derivatives, and the highest of them is the unknown of each step.  With
@@ -159,21 +170,14 @@ def _integrate(
     is its BDF difference; for order 2 (params at tau = 0, so b = delta) the
     top is xi' and xi'' is its BDF difference.
     """
-    _check_signal(g, bc)
-
     n = basis.n
-    quad = build_quadrature(basis.length, config.quad_points)
     steps = config.n_steps
     dt = config.dt
-    times = dt * np.arange(steps + 1)
+    times = config.times
 
     stiffness = assemble_stiffness(basis, quad)
-    masses = TimeVaryingMass(basis, quad, field, times)
+    masses = TimeVaryingMass(basis, quad, alpha)
     boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
-
-    loads = np.empty((steps + 1, n))
-    for m, t in enumerate(times):
-        loads[m] = assemble_load(basis, quad, f, g, params, t, bc)
 
     # momentum-balance coefficients of xi, xi', xi'' (M(t) + acc_extra, per step) and xi'''
     elastic = params.c2 * stiffness
@@ -241,7 +245,9 @@ def solve_smgt_linear(
     """
     if params.tau <= 0.0:
         raise ValueError(f"the third-order solver requires tau > 0, got {params.tau}")
-    return _integrate(3, params, basis, field, f, g, config, bc)
+    quad, loads = _prepare_data(params, basis, f, g, config, bc)
+    alpha = sample_field(field, quad.nodes, config.times)
+    return _integrate(3, params, basis, quad, alpha, loads, config, bc)
 
 
 def solve_westervelt_linearized(
@@ -260,4 +266,7 @@ def solve_westervelt_linearized(
     tau = 0 so that downstream energy weights are consistent.  Every step
     solves one dense linear system of size n for xi'.
     """
-    return _integrate(2, replace(params, tau=0.0), basis, field, f, g, config, bc)
+    params = replace(params, tau=0.0)
+    quad, loads = _prepare_data(params, basis, f, g, config, bc)
+    alpha = sample_field(field, quad.nodes, config.times)
+    return _integrate(2, params, basis, quad, alpha, loads, config, bc)

@@ -193,3 +193,8 @@ class SolverConfig:
     def n_steps(self) -> int:
         """Number of uniform steps covering [0, t_final]."""
         return round(self.t_final / self.dt)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The n_steps + 1 grid times dt * m of a run."""
+        return self.dt * np.arange(self.n_steps + 1)

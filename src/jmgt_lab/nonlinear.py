@@ -3,7 +3,9 @@
 The nonlinearity is handled by whole-horizon successive substitution: freeze
 the coefficient 1 - 2k*psi_t (or its clamped relaxation) at the previous
 iterate, re-solve the linear problem on [0, T], and measure the difference in
-the energy norm in which the underlying map contracts for small data.
+the energy norm in which the underlying map contracts for small data.  A run
+assembles its loads once; each iterate's alpha is built from its psi_t
+coefficients and the mode values at the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import SpaceTimeFn, clamp_h, constant_field, field_from_trajectory
+from .assembly import SpaceTimeFn, _frozen_coefficient, clamp_h
 from .basis import SpectralBasis, mode_matrix
 from .energy import AuditMode, energy_lower
 from .exceptions import NonDegeneracyViolated, PicardDivergenceError
-from .integrate import Trajectory, solve_smgt_linear, solve_westervelt_linearized, zero_trajectory
+from .integrate import Trajectory, _integrate, _prepare_data, zero_trajectory
 from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal
 
 __all__ = [
@@ -133,39 +135,48 @@ def _guard_degeneracy(
     return margin
 
 
+#: A run whose contraction factor exceeds 1 this many times in a row diverges.
+_GROWTH_LIMIT = 3
+
+
 def _picard_loop(
-    solve_once,
+    order: int,
     params: ModelParams,
     basis: SpectralBasis,
+    f: SpaceTimeFn | None,
+    g: WindowedSignal | None,
     config: SolverConfig,
     bc: BoundaryKind,
     clamped: bool,
     guarded: bool,
-    with_third: bool,
 ) -> tuple[Trajectory, PicardReport]:
-    zero = zero_trajectory(params, basis, config, bc, with_third=with_third)
-    previous = zero
-    field = constant_field(1.0)
+    quad, loads = _prepare_data(params, basis, f, g, config, bc)
+    modes = mode_matrix(basis, quad.nodes)
+    zero = previous = zero_trajectory(params, basis, config, bc, with_third=(order == 3))
+    alpha = np.ones((config.n_steps + 1, quad.count))
     differences: list[float] = []
+    factors: list[float] = []
     iterate_norms: list[float] = []
     for iteration in range(1, config.picard_max + 1):
-        current = solve_once(field)
+        current = _integrate(order, params, basis, quad, alpha, loads, config, bc)
         if guarded:
             _guard_degeneracy(current, basis, params.k, config.eval_grid, iteration)
         diff = trajectory_distance(current, previous, basis)
+        if differences:  # a previous difference is at least picard_tol > 0
+            factors.append(diff / differences[-1])
         differences.append(diff)
         iterate_norms.append(trajectory_distance(current, zero, basis))
         if diff < config.picard_tol:
             break
-        field = field_from_trajectory(basis, current, params.k, clamped=clamped)
+        recent = factors[-_GROWTH_LIMIT:]
+        if len(recent) == _GROWTH_LIMIT and min(recent) > 1.0:
+            raise PicardDivergenceError(differences, config.picard_max)
+        for m, row in enumerate(current.coeff_t):  # the solve no longer reads alpha
+            alpha[m] = _frozen_coefficient(row @ modes, params.k, clamped)
         previous = current
     else:
         raise PicardDivergenceError(differences, config.picard_max)
-    factors = [
-        differences[i] / differences[i - 1] if differences[i - 1] > 0.0 else 0.0
-        for i in range(1, len(differences))
-    ]
-    report = PicardReport(
+    return current, PicardReport(
         iterations=len(differences),
         differences=differences,
         factors=factors,
@@ -173,7 +184,6 @@ def _picard_loop(
         degeneracy_margin=degeneracy_check(current, basis, params.k, config.eval_grid),
         iterate_norms=iterate_norms,
     )
-    return current, report
 
 
 def solve_jmgt(
@@ -190,29 +200,18 @@ def solve_jmgt(
     The first iterate freezes alpha = 1 (the zero initial iterate); each
     following iterate rebuilds alpha from the previous trajectory.  The loop
     stops when the energy-norm difference falls below ``picard_tol`` and
-    raises PicardDivergenceError at the iteration cap.  FULL_JMGT runs abort
-    with NonDegeneracyViolated as soon as an iterate loses positivity of
-    1 - 2k*psi_t; the relaxed variant never aborts, that being the point of
-    the relaxation.
+    raises PicardDivergenceError at the iteration cap, or once the contraction
+    factor has exceeded 1 in three consecutive iterations.  FULL_JMGT runs
+    abort with NonDegeneracyViolated as soon as an iterate loses positivity
+    of 1 - 2k*psi_t; the relaxed variant never aborts, that being the point
+    of the relaxation.
     """
     if variant is NonlinearVariant.WESTERVELT:
         return solve_westervelt_nonlinear(params, basis, f, g, config, bc)
     if params.tau <= 0.0:
         raise ValueError(f"the third-order variants require tau > 0, got {params.tau}")
-
-    def solve_once(field):
-        return solve_smgt_linear(params, basis, field, f, g, config, bc)
-
-    return _picard_loop(
-        solve_once,
-        params,
-        basis,
-        config,
-        bc,
-        clamped=(variant is NonlinearVariant.RELAXED_JMGT),
-        guarded=(variant is NonlinearVariant.FULL_JMGT),
-        with_third=True,
-    )
+    clamped = variant is NonlinearVariant.RELAXED_JMGT
+    return _picard_loop(3, params, basis, f, g, config, bc, clamped, guarded=not clamped)
 
 
 def solve_westervelt_nonlinear(
@@ -229,18 +228,5 @@ def solve_westervelt_nonlinear(
     coefficient is the unclamped 1 - 2k*psi_t, so the degeneracy guard
     applies exactly as in the full third-order model.
     """
-    params_zero = replace(params, tau=0.0)
-
-    def solve_once(field):
-        return solve_westervelt_linearized(params_zero, basis, field, f, g, config, bc)
-
-    return _picard_loop(
-        solve_once,
-        params_zero,
-        basis,
-        config,
-        bc,
-        clamped=False,
-        guarded=True,
-        with_third=False,
-    )
+    params = replace(params, tau=0.0)
+    return _picard_loop(2, params, basis, f, g, config, bc, clamped=False, guarded=True)

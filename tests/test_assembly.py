@@ -19,13 +19,15 @@ from jmgt_lab import (
     build_quadrature,
     clamp_h,
     constant_field,
-    eval_mode,
     field_from_trajectory,
     harmonic_extension,
     lift_forcing,
+    mode_matrix,
+    project,
     signal_eval,
     trace_vector,
 )
+from jmgt_lab.assembly import assemble_loads, sample_field
 from jmgt_lab.exceptions import CompatibilityError
 
 from helpers import fd_weights
@@ -101,7 +103,7 @@ class TestMass:
         quad = build_quadrature(1.0, 16)
         field = make_field(lambda x, t: 1.0 + 0.2 * t * np.asarray(x, dtype=float))
         times = np.array([0.0, 0.5, 1.25, 2.0])
-        sampler = TimeVaryingMass(basis, quad, field, times)
+        sampler = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, times))
         for m, t in enumerate(times):
             np.testing.assert_array_equal(sampler.alpha_values(m), field.value(quad.nodes, t))
             np.testing.assert_array_equal(sampler.matrix(m), assemble_mass(basis, quad, field, t))
@@ -115,10 +117,18 @@ class TestMass:
             queried.append(t)
             return np.full_like(np.asarray(x, dtype=float), 1.0 + t)
 
-        sampler = TimeVaryingMass(basis, quad, make_field(alpha), np.array([0.0, 0.1, 0.2]))
+        alpha_grid = sample_field(make_field(alpha), quad.nodes, np.array([0.0, 0.1, 0.2]))
+        sampler = TimeVaryingMass(basis, quad, alpha_grid)
         for m in (2, 0, 1, 2):
             np.testing.assert_allclose(sampler.matrix(m), (1.0 + 0.1 * m) * np.eye(3), atol=1e-14)
         assert queried == [0.0, 0.1, 0.2]
+
+    def test_scalar_field_broadcast_over_the_nodes(self):
+        quad = build_quadrature(1.0, 12)
+        field = CoefficientField(value=lambda x, t: 2.0 + t)
+        alpha = sample_field(field, quad.nodes, np.array([0.0, 0.5]))
+        assert alpha.shape == (2, quad.count)
+        np.testing.assert_array_equal(alpha, [[2.0] * quad.count, [2.5] * quad.count])
 
 
 class TestBoundary:
@@ -226,6 +236,29 @@ class TestLoad:
         a = assemble_load(basis, quad, None, sig, params, 1.2, BoundaryKind.PURE_NEUMANN)
         b = assemble_load(basis, quad, None, sig, params, 1.2, BoundaryKind.MIXED)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("with_f,with_g", [(True, True), (True, False), (False, True)])
+    def test_whole_horizon_loads_equal_the_per_time_formula(self, bc, with_f, with_g):
+        # bit for bit: each row is (f(., t), w_i) + (c2*g(t) + b*g_t(t)) * w_i(0)
+        # with the signal evaluated at the scalar time
+        basis = build_basis(2.0, 6)
+        quad = build_quadrature(2.0, 24)
+        params = ModelParams(c2=1.3, delta=0.7, tau=0.2, beta=0.5)
+        f = (lambda x, t: t * np.sin(3.0 * x) + t**2 * np.cos(x)) if with_f else None
+        g = WindowedSignal(0.6, 2.0, 5, 1.0) if with_g else None
+        times = 0.01 * np.arange(151)
+        loads = assemble_loads(basis, quad, f, g, params, times, bc)
+        assert loads.shape == (151, 6)
+        for m, t in enumerate(times):
+            row = np.zeros(6)
+            if f is not None:
+                row += project(basis, quad, lambda x: f(x, t))
+            if g is not None:
+                gain = params.c2 * signal_eval(g, float(t), 0) + params.b * signal_eval(g, float(t), 1)
+                row += gain * trace_vector(basis, End.LEFT)
+            assert np.array_equal(loads[m], row)
+            assert np.array_equal(assemble_load(basis, quad, f, g, params, float(t), bc), row)
 
 
 class TestHarmonicExtension:
@@ -371,7 +404,7 @@ class TestFieldFromTrajectory:
         basis = build_basis(math.pi, 3)
         k = 0.25
         xs = np.array([0.0, 0.9, 2.2, math.pi])
-        w1 = np.array([eval_mode(basis, 1, float(x)) for x in xs])
+        w1 = mode_matrix(basis, xs)[1]
         for rate in (0.8, 40.0):  # the unclamped field follows 1 - 2k*psi_t past [0, 2]
             traj = self.make_ramp_trajectory(basis, rate)
             field = field_from_trajectory(basis, traj, k)
@@ -385,7 +418,7 @@ class TestFieldFromTrajectory:
         traj = self.make_ramp_trajectory(basis, rate)
         field = field_from_trajectory(basis, traj, 0.25, clamped=True)
         xs = np.linspace(0, math.pi, 64)
-        w1 = np.array([eval_mode(basis, 1, float(x)) for x in xs])
+        w1 = mode_matrix(basis, xs)[1]
         for t in traj.times:
             values = field.value(xs, t)
             np.testing.assert_allclose(values, clamp_h(rate * t * w1, 0.25), rtol=1e-13)

@@ -7,10 +7,8 @@ from jmgt_lab import (
     End,
     build_basis,
     build_quadrature,
-    eval_mode,
     mode_matrix,
     project,
-    trace,
     trace_vector,
 )
 
@@ -66,65 +64,64 @@ class TestEigenpairs:
 
     def test_derivative_vanishes_at_both_ends(self):
         basis = build_basis(2.0, 6)
-        for i in range(basis.n):
-            assert eval_mode(basis, i, 0.0, deriv=1) == pytest.approx(0.0, abs=1e-12)
-            assert eval_mode(basis, i, 2.0, deriv=1) == pytest.approx(0.0, abs=1e-12)
+        slopes = mode_matrix(basis, np.array([0.0, 2.0]), deriv=1)
+        np.testing.assert_allclose(slopes, 0.0, atol=1e-12)
 
 
 class TestEvalMode:
+    """Point values of single modes, read from rows of ``mode_matrix``."""
+
     def test_constant_mode_has_zero_derivative(self):
         basis = build_basis(math.pi, 4)
-        for x in (0.0, 1.0, math.pi):
-            assert eval_mode(basis, 0, x, deriv=1) == 0.0
+        slopes = mode_matrix(basis, np.array([0.0, 1.0, math.pi]), deriv=1)
+        assert np.all(slopes[0] == 0.0)
 
     def test_value_at_left_end(self):
         basis = build_basis(math.pi, 4)
-        assert eval_mode(basis, 2, 0.0) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-15)
+        assert mode_matrix(basis, 0.0)[2, 0] == pytest.approx(math.sqrt(2 / math.pi), rel=1e-15)
 
     def test_eigenrelation_for_second_derivative(self):
         basis = build_basis(math.pi, 4)
-        for x in np.linspace(0.0, math.pi, 17):
-            left = eval_mode(basis, 3, x, deriv=2)
-            right = -9.0 * eval_mode(basis, 3, x, deriv=0)
-            assert abs(left - right) < 1e-13
+        xs = np.linspace(0.0, math.pi, 17)
+        left = mode_matrix(basis, xs, deriv=2)[3]
+        right = -9.0 * mode_matrix(basis, xs)[3]
+        assert np.abs(left - right).max() < 1e-13
 
-    def test_out_of_range_rejected(self):
+    @pytest.mark.parametrize("deriv", [-1, 3])
+    def test_derivative_order_outside_range_rejected(self, deriv):
         basis = build_basis(1.0, 3)
-        with pytest.raises(IndexError):
-            eval_mode(basis, 3, 0.5)
         with pytest.raises(ValueError):
-            eval_mode(basis, 1, 1.5)
+            mode_matrix(basis, np.array([0.5]), deriv=deriv)
 
 
 class TestTrace:
     def test_right_end_alternating_signs(self):
         basis = build_basis(math.pi, 4)
         root = math.sqrt(2 / math.pi)
-        assert trace(basis, 1, End.RIGHT) == pytest.approx(-root, rel=1e-15)
-        assert trace(basis, 2, End.RIGHT) == pytest.approx(root, rel=1e-15)
+        traces = trace_vector(basis, End.RIGHT)
+        assert traces[1] == pytest.approx(-root, rel=1e-15)
+        assert traces[2] == pytest.approx(root, rel=1e-15)
 
     def test_constant_mode_trace(self):
         for length in (1.0, 2.0, math.pi):
             basis = build_basis(length, 2)
             expected = 1.0 / math.sqrt(length)
-            assert trace(basis, 0, End.LEFT) == pytest.approx(expected, rel=1e-15)
-            assert trace(basis, 0, End.RIGHT) == pytest.approx(expected, rel=1e-15)
+            assert trace_vector(basis, End.LEFT)[0] == pytest.approx(expected, rel=1e-15)
+            assert trace_vector(basis, End.RIGHT)[0] == pytest.approx(expected, rel=1e-15)
 
     def test_trace_vector_matches_pointwise_evaluation(self):
         basis = build_basis(2.0, 8)
-        np.testing.assert_allclose(
-            trace_vector(basis, End.RIGHT),
-            [eval_mode(basis, i, 2.0) for i in range(8)],
-            rtol=0,
-            atol=1e-14,
-        )
+        for end, x in ((End.LEFT, 0.0), (End.RIGHT, 2.0)):
+            np.testing.assert_allclose(
+                trace_vector(basis, end), mode_matrix(basis, x)[:, 0], rtol=0, atol=1e-14
+            )
 
 
 class TestProject:
     def test_projection_of_basis_mode_is_unit_vector(self):
         basis = build_basis(math.pi, 6)
         quad = build_quadrature(math.pi, 24)
-        coeffs = project(basis, quad, lambda x: eval_mode(basis, 3, x))
+        coeffs = project(basis, quad, lambda x: mode_matrix(basis, x)[3])
         expected = np.zeros(6)
         expected[3] = 1.0
         assert np.abs(coeffs - expected).max() < 1e-12

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jmgt_lab.integrate
 from jmgt_lab import (
     BoundaryKind,
     ModelParams,
@@ -17,8 +18,12 @@ from jmgt_lab import (
     WindowedSignal,
     build_basis,
     clamp_h,
+    constant_field,
     degeneracy_check,
+    field_from_trajectory,
     solve_jmgt,
+    solve_smgt_linear,
+    solve_westervelt_linearized,
     solve_westervelt_nonlinear,
     trajectory_distance,
     zero_trajectory,
@@ -228,6 +233,19 @@ class TestGuard:
             solve_jmgt(params, basis, None, sig, tight)
         assert len(info.value.differences) == 3
 
+    def test_growing_differences_stop_the_run_early(self):
+        # the relaxed map on a large drive with k = 10 and tau = 1e-3 does not
+        # contract: the first three factors are about 6.4, 3.1 and 2.1
+        basis = build_basis(L, 8)
+        params = ModelParams(c2=1.0, delta=1.0, tau=1e-3, k=10.0)
+        sig = WindowedSignal(5.0, 2.0, 5, 1.0)
+        config = SolverConfig(dt=1 / 50, t_final=1.0, n_modes=8, picard_tol=1e-9, picard_max=20)
+        with pytest.raises(PicardDivergenceError, match="diverged") as info:
+            solve_jmgt(params, basis, None, sig, config, variant=NonlinearVariant.RELAXED_JMGT)
+        differences = info.value.differences
+        assert len(differences) < config.picard_max
+        assert all(b / a > 1.0 for a, b in zip(differences[-4:], differences[-3:]))
+
     def test_jmgt_requires_positive_tau(self):
         basis, params, sig, config = small_setup()
         zero_tau = ModelParams(c2=1.0, delta=1.0, tau=0.0, k=0.4)
@@ -277,3 +295,74 @@ class TestManufacturedPicard:
             errors.append(float(np.sqrt(((traj.coeff - exact) ** 2).sum(axis=1)).max()))
         orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert all(1.9 <= order <= 2.1 for order in orders), orders
+
+
+def callable_picard(params, basis, f, g, config, bc, variant):
+    """Successive substitution through the public linear solvers and callable fields."""
+    westervelt = variant is NonlinearVariant.WESTERVELT
+    if westervelt:
+        params = replace(params, tau=0.0)
+    solve = solve_westervelt_linearized if westervelt else solve_smgt_linear
+    zero = previous = zero_trajectory(params, basis, config, bc, with_third=not westervelt)
+    field = constant_field(1.0)
+    differences, norms = [], []
+    for _ in range(config.picard_max):
+        current = solve(params, basis, field, f, g, config, bc)
+        differences.append(trajectory_distance(current, previous, basis))
+        norms.append(trajectory_distance(current, zero, basis))
+        if differences[-1] < config.picard_tol:
+            return current, differences, norms
+        clamped = variant is NonlinearVariant.RELAXED_JMGT
+        field = field_from_trajectory(basis, current, params.k, clamped=clamped)
+        previous = current
+    raise AssertionError("the oracle loop did not converge")
+
+
+class TestArrayPicard:
+    """The Picard solvers against the callable path, and their load assembly count."""
+
+    @staticmethod
+    def setup(bc):
+        basis = build_basis(L, 6)
+        params = ModelParams(c2=1.0, delta=0.8, tau=0.1, k=0.4, beta=0.5)
+        sig = WindowedSignal(0.4, 2.0, 5, 1.0)
+        config = SolverConfig(dt=1 / 50, t_final=1.0, n_modes=6, picard_tol=1e-10)
+
+        def source(x, t):
+            return 0.3 * t**2 * np.cos(2.0 * np.asarray(x, dtype=float))
+
+        return basis, params, source, sig, config
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("variant", list(NonlinearVariant), ids=lambda v: v.value)
+    def test_bit_identical_to_the_callable_loop(self, variant, bc):
+        basis, params, source, sig, config = self.setup(bc)
+        traj, report = solve_jmgt(params, basis, source, sig, config, bc, variant)
+        expected, differences, norms = callable_picard(
+            params, basis, source, sig, config, bc, variant
+        )
+        for name in ("times", "coeff", "coeff_t", "coeff_tt"):
+            assert np.array_equal(getattr(traj, name), getattr(expected, name)), name
+        if variant is NonlinearVariant.WESTERVELT:
+            assert traj.coeff_ttt is None and expected.coeff_ttt is None
+        else:
+            assert np.array_equal(traj.coeff_ttt, expected.coeff_ttt)
+        assert report.differences == differences
+        assert report.iterate_norms == norms
+
+    def test_one_load_assembly_per_run(self, monkeypatch):
+        calls = []
+        original = jmgt_lab.integrate.assemble_loads
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[5]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(jmgt_lab.integrate, "assemble_loads", counting)
+        basis, params, source, sig, config = self.setup(BoundaryKind.PURE_NEUMANN)
+        _, report = solve_jmgt(params, basis, source, sig, config)
+        assert report.iterations > 2
+        assert calls == [config.n_steps + 1]
+        solve_smgt_linear(params, basis, constant_field(1.0), source, sig, config)
+        solve_westervelt_linearized(params, basis, constant_field(1.0), source, sig, config)
+        assert calls == [config.n_steps + 1] * 3

@@ -14,9 +14,8 @@ from pathlib import Path
 
 from .exceptions import ConfigFileError
 from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal
-from .nonlinear import NonlinearVariant
 
-__all__ = ["ExperimentConfig", "parse_config", "parse_config_text", "write_config"]
+__all__ = ["ExperimentConfig", "parse_config", "parse_config_text"]
 
 _SECTIONS = ("model", "signal", "discretization", "experiment")
 
@@ -63,24 +62,30 @@ class ExperimentConfig:
     signal: WindowedSignal
     solver: SolverConfig
     length: float
-    variant: NonlinearVariant
     bc: BoundaryKind
     tau_sweep: tuple[float, ...] | None = None
     mms_levels: int = 3
     warnings: list[str] = field(default_factory=list, compare=False)
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _cast(kind: str, raw: str):
     if kind == "float":
-        return float(raw)
+        return _finite(raw)
     if kind == "int":
-        value = float(raw)
+        value = _finite(raw)
         if value != int(value):
             raise ValueError(f"expected an integer, got {raw!r}")
         return int(value)
     if kind == "float_list":
         parts = [part.strip() for part in raw.split(",")]
-        return tuple(float(part) for part in parts if part)
+        return tuple(_finite(part) for part in parts if part)
     if kind == "str":
         return raw.strip()
     raise AssertionError(kind)
@@ -182,7 +187,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     if eval_grid is not None and eval_grid < 2:
         fail("discretization", "eval_grid", "must be at least 2")
     variant_raw = get("experiment", "variant").lower()
-    if variant_raw != NonlinearVariant.FULL_JMGT.value:
+    if variant_raw != "full":
         fail(
             "experiment",
             "variant",
@@ -239,7 +244,6 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         signal=signal,
         solver=solver,
         length=get("discretization", "length"),
-        variant=NonlinearVariant.FULL_JMGT,
         bc=bc,
         tau_sweep=sweep,
         mms_levels=get("experiment", "mms_levels"),
@@ -252,42 +256,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigFileError([f"{path}: {exc}"]) from exc
     return parse_config_text(text, source=str(path))
 
-
-def write_config(config: ExperimentConfig) -> str:
-    """Render a config back to text; parse_config_text inverts this exactly."""
-    lines = [
-        "[model]",
-        f"c2 = {config.params.c2!r}",
-        f"delta = {config.params.delta!r}",
-        f"tau = {config.params.tau!r}",
-        f"k = {config.params.k!r}",
-        f"beta = {config.params.beta!r}",
-        "",
-        "[signal]",
-        f"amplitude = {config.signal.amplitude!r}",
-        f"frequency = {config.signal.frequency!r}",
-        f"onset_power = {config.signal.onset_power}",
-        f"decay_rate = {config.signal.decay_rate!r}",
-        "",
-        "[discretization]",
-        f"dt = {config.solver.dt!r}",
-        f"t_final = {config.solver.t_final!r}",
-        f"n_modes = {config.solver.n_modes}",
-        f"length = {config.length!r}",
-        f"quad_points = {config.solver.quad_points}",
-        f"picard_tol = {config.solver.picard_tol!r}",
-        f"picard_max = {config.solver.picard_max}",
-        f"eval_grid = {config.solver.eval_grid}",
-        "",
-        "[experiment]",
-        f"variant = {config.variant.value}",
-        f"bc = {config.bc.value}",
-    ]
-    if config.tau_sweep is not None:
-        lines.append("tau_sweep = " + ", ".join(repr(value) for value in config.tau_sweep))
-    lines.append(f"mms_levels = {config.mms_levels}")
-    return "\n".join(lines) + "\n"

@@ -154,20 +154,10 @@ class EnergyRecord:
 class BoundaryFlux:
     """Absorbing-end flux series: squared traces and their accumulators."""
 
-    times: np.ndarray
     sq_trace_t: np.ndarray
     sq_trace_tt: np.ndarray
     acceleration_flux_accum: np.ndarray
     velocity_flux_max: np.ndarray
-
-    @property
-    def empty(self) -> bool:
-        return self.times.size == 0
-
-    @classmethod
-    def empty_marker(cls) -> "BoundaryFlux":
-        nothing = np.zeros(0)
-        return cls(nothing, nothing, nothing, nothing, nothing)
 
 
 def _require(record_field, name: str):
@@ -228,20 +218,21 @@ def energy_higher(traj: "Trajectory", basis: SpectralBasis) -> EnergyRecord:
     )
 
 
-def boundary_flux(traj: "Trajectory", params: ModelParams, basis: SpectralBasis) -> BoundaryFlux:
+def boundary_flux(
+    traj: "Trajectory", params: ModelParams, basis: SpectralBasis
+) -> BoundaryFlux | None:
     """Flux energies extracted through the absorbing end.
 
     Accumulates c2*beta*||tr psi_tt||^2 over time and tracks the running
     maximum of b*beta*|tr psi_t|^2.  On a pure-Neumann trajectory there is no
-    absorbing end and the empty marker is returned.
+    absorbing end and None is returned.
     """
     if traj.bc is not BoundaryKind.MIXED:
-        return BoundaryFlux.empty_marker()
+        return None
     traces = trace_vector(basis, End.RIGHT)
     sq_trace_t = (traj.coeff_t @ traces) ** 2
     sq_trace_tt = (traj.coeff_tt @ traces) ** 2
     return BoundaryFlux(
-        times=traj.times,
         sq_trace_t=sq_trace_t,
         sq_trace_tt=sq_trace_tt,
         acceleration_flux_accum=params.c2
@@ -264,15 +255,6 @@ class DataNorms:
     signal_l2: tuple[float, ...]
     source_l2l2: float = 0.0
     source_h1l2: float = 0.0
-
-    @property
-    def is_zero(self) -> bool:
-        return (
-            all(v == 0.0 for v in self.signal_sup)
-            and all(v == 0.0 for v in self.signal_l2)
-            and self.source_l2l2 == 0.0
-            and self.source_h1l2 == 0.0
-        )
 
     def lower_total(self) -> float:
         """||g||^2_{W1inf} + ||g_t||^2_{H1} + ||f||^2_{L2L2}."""

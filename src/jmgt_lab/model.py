@@ -60,9 +60,9 @@ class ModelParams:
             raise ValueError(f"c2 must be positive, got {self.c2}")
         if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:
             raise ValueError(f"tau must be nonnegative, got {self.tau}")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
 
     @property

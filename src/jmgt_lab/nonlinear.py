@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import SpaceTimeFn, _frozen_coefficient, clamp_h
+from .assembly import SpaceTimeFn, _frozen_coefficient
 from .basis import SpectralBasis, mode_matrix
 from .energy import AuditMode, energy_lower
 from .exceptions import NonDegeneracyViolated, PicardDivergenceError
@@ -26,7 +26,6 @@ from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal
 __all__ = [
     "NonlinearVariant",
     "PicardReport",
-    "clamp_h",
     "trajectory_distance",
     "degeneracy_check",
     "solve_jmgt",
@@ -60,7 +59,6 @@ class PicardReport:
     iterations: int
     differences: list[float]
     factors: list[float]
-    converged: bool
     degeneracy_margin: float
     iterate_norms: list[float]
 
@@ -180,7 +178,6 @@ def _picard_loop(
         iterations=len(differences),
         differences=differences,
         factors=factors,
-        converged=True,
         degeneracy_margin=degeneracy_check(current, basis, params.k, config.eval_grid),
         iterate_norms=iterate_norms,
     )

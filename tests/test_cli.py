@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from jmgt_lab import BoundaryKind, ConfigFileError, NonlinearVariant
+from jmgt_lab import BoundaryKind, ConfigFileError
 from jmgt_lab.cli import main, mms_study, limit_study, run
-from jmgt_lab.config import parse_config, parse_config_text, write_config
+from jmgt_lab.config import parse_config, parse_config_text
 
 BASE_CONFIG = """\
 [model]
@@ -55,7 +55,6 @@ class TestParsing:
         assert config.solver.n_modes == 6
         assert config.solver.quad_points == 24  # default 4 * n_modes
         assert config.length == math.pi
-        assert config.variant is NonlinearVariant.FULL_JMGT
         assert config.bc is BoundaryKind.PURE_NEUMANN
         assert config.warnings == []
 
@@ -148,10 +147,21 @@ class TestParsing:
         assert "variant" in message
         assert "solve-relaxed" in message and "solve-westervelt" in message
 
-    def test_round_trip(self):
-        for overrides in ({}, {"tau_sweep": "1e-1, 1e-2"}, {"bc": "mixed", "beta": 0.5}):
-            config = parse_config_text(config_with(**overrides))
-            assert parse_config_text(write_config(config)) == config
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_modes", "1e400"),
+            ("tau", "nan"),
+            ("k", "inf"),
+            ("dt", "-inf"),
+            ("tau_sweep", "0.1, nan"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, key, value):
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(config_with(**{key: value}))
+        expected = f"invalid value for {key!r}: expected a finite number"
+        assert any(expected in message for message in info.value.errors)
 
 
 class TestRun:
@@ -270,9 +280,11 @@ class TestRun:
         assert all(row.velocity_error == 0.0 for row in result.rows)
         assert all(row.energy_error == 0.0 for row in result.rows)
 
-    def test_limit_study_requires_sweep(self, tmp_path):
+    def test_limit_study_requires_sweep(self, tmp_path, capsys):
         config = parse_config_text(BASE_CONFIG)
         assert run("limit-study", config, out_dir=tmp_path, quiet=True) == 1
+        assert "config error: limit-study requires a tau_sweep" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_energy_audit_without_sweep_requires_positive_tau(self, tmp_path):
         config = parse_config_text(config_with(tau=0.0))
@@ -326,6 +338,31 @@ class TestMain:
         code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "at least one tau" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, key, value",
+        [
+            ("solve-linear", "n_modes", "1e400"),
+            ("solve-jmgt", "tau", "nan"),
+            ("solve-jmgt", "k", "inf"),
+            ("limit-study", "tau_sweep", "0.1, nan"),
+        ],
+    )
+    def test_main_rejects_non_finite_values(self, tmp_path, capsys, subcommand, key, value):
+        path = tmp_path / "experiment.cfg"
+        path.write_text(config_with(**{key: value}), encoding="utf-8")
+        code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_main_rejects_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "experiment.cfg"
+        path.write_bytes(BASE_CONFIG.encode("utf-8") + b"# caf\xe9\n")
+        code = main(["solve-jmgt", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_main_missing_file(self, tmp_path, capsys):

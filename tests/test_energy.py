@@ -258,12 +258,12 @@ class TestBoundaryFlux:
         np.testing.assert_allclose(flux.acceleration_flux_accum, oracle, atol=1e-12)
         assert np.all(np.diff(flux.velocity_flux_max) >= 0.0)
 
-    def test_pure_neumann_yields_empty_marker(self):
+    def test_pure_neumann_yields_no_flux(self):
         basis = build_basis(L, 4)
         params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
         config = SolverConfig(dt=0.01, t_final=0.2, n_modes=4)
         flux = boundary_flux(zero_trajectory(params, basis, config), params, basis)
-        assert flux.empty
+        assert flux is None
 
 
 class TestDataNorms:
@@ -273,7 +273,8 @@ class TestDataNorms:
     def test_zero_data_zero_bundle(self):
         params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
         bundle = data_norms(None, None, params, self.config(dt=0.01, t_final=1.0))
-        assert bundle.is_zero
+        assert all(value == 0.0 for value in bundle.signal_sup + bundle.signal_l2)
+        assert bundle.source_l2l2 == 0.0 and bundle.source_h1l2 == 0.0
 
     def test_amplitude_doubling_doubles_every_norm(self):
         params = ModelParams(c2=1.0, delta=1.0, tau=0.1)

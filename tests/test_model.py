@@ -56,6 +56,8 @@ class TestParamValidation:
             dict(c2=1.0, delta=0.0, tau=0.1),
             dict(c2=1.0, delta=1.0, tau=-0.1),
             dict(c2=1.0, delta=1.0, tau=0.1, beta=-1.0),
+            dict(c2=1.0, delta=1.0, tau=float("nan")),
+            dict(c2=1.0, delta=1.0, tau=0.1, beta=float("nan")),
         ],
     )
     def test_invalid_coefficients_rejected(self, kwargs):

@@ -25,6 +25,7 @@ from .energy import (
     AuditMode,
     AuditReport,
     BoundaryFlux,
+    DataNorms,
     EnergyRecord,
     audit_estimate,
     boundary_flux,
@@ -34,7 +35,6 @@ from .energy import (
 )
 from .exceptions import ConfigFileError, NonDegeneracyViolated, SolverFailure
 from .integrate import Trajectory, solve_smgt_linear, solve_westervelt_linearized
-from .model import MAX_SIGNAL_ORDER
 from .nonlinear import NonlinearVariant, PicardReport, solve_jmgt, solve_westervelt_nonlinear
 
 __all__ = ["main", "run", "limit_study", "mms_study", "LimitRow", "LimitStudyResult", "MmsRow"]
@@ -159,12 +159,7 @@ def limit_study(config: ExperimentConfig) -> tuple[LimitStudyResult, Trajectory]
         params_tau = replace(config.params, tau=tau)
         traj, report = solve_jmgt(params_tau, basis, None, config.signal, config.solver, config.bc)
         # the error is measured in the tau = 0 (Westervelt) higher energy
-        diff = replace(
-            reference,
-            coeff=traj.coeff - reference.coeff,
-            coeff_t=traj.coeff_t - reference.coeff_t,
-            coeff_tt=traj.coeff_tt - reference.coeff_tt,
-        )
+        diff = reference - traj
         velocity_error = float(np.sqrt((diff.coeff_t**2).sum(axis=1)).max())
         energy_error = float(np.sqrt(energy_higher(diff, basis).total(AuditMode.HIGHER)))
         rows.append(
@@ -242,9 +237,8 @@ def _picard_report_rows(report: PicardReport) -> list[list]:
     return rows
 
 
-def _audits(config: ExperimentConfig, traj: Trajectory, basis: SpectralBasis) -> list[AuditReport]:
+def _audits(traj: Trajectory, basis: SpectralBasis, bundle: DataNorms) -> list[AuditReport]:
     """Audit reports of one run, in every mode that applies (TauDependent needs tau > 0)."""
-    bundle = data_norms(config.signal, None, traj.params, config.solver, max_order=MAX_SIGNAL_ORDER)
     lower, higher = energy_lower(traj, basis), energy_higher(traj, basis)
     return [
         audit_estimate(higher if mode is AuditMode.HIGHER else lower, bundle, mode)
@@ -255,7 +249,7 @@ def _audits(config: ExperimentConfig, traj: Trajectory, basis: SpectralBasis) ->
 
 def _audit_rows(config: ExperimentConfig, traj: Trajectory, basis: SpectralBasis) -> list[list]:
     rows: list[list] = []
-    for report in _audits(config, traj, basis):
+    for report in _audits(traj, basis, data_norms(config.signal, config.solver)):
         mode = report.mode
         rows.append(["audit", f"{mode.value}_ratio", report.ratio])
         if report.log_constant is not None:
@@ -287,6 +281,7 @@ def _energy_audit(
     config: ExperimentConfig, basis: SpectralBasis, taus: tuple[float, ...]
 ) -> tuple[Trajectory, list[list]]:
     """Audit table over ``taus``; returns the first run for the artifacts."""
+    bundle = data_norms(config.signal, config.solver)
     first: Trajectory | None = None
     table = []
     for tau in taus:
@@ -296,7 +291,7 @@ def _energy_audit(
         )
         if first is None:
             first = traj
-        for report in _audits(config, traj, basis):
+        for report in _audits(traj, basis, bundle):
             table.append(
                 [
                     tau,
@@ -330,12 +325,11 @@ def run(
 
     Returns the process exit code.  Every solve finishes before any artifact
     is written; on solver failure only report.csv is written, describing the
-    failure.
+    failure.  ``out_dir`` is created only when a file is written into it.
     """
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
 
     for warning in config.warnings:
@@ -373,6 +367,7 @@ def run(
             table = [astuple(row) for row in rows]
             summary = f"{len(rows)} rows"
     except SolverFailure as exc:
+        out.mkdir(parents=True, exist_ok=True)
         _write_csv(report_path, ["section", "key", "value"], _failure_rows(exc))
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
@@ -383,6 +378,7 @@ def run(
 
     # the limit-study reference and the mms runs carry no flux columns
     flux = None if subcommand in ("limit-study", "mms") else boundary_flux(traj, traj.params, basis)
+    out.mkdir(parents=True, exist_ok=True)
     _write_trajectory(out / "trajectory.csv", traj)
     _write_energy(out / "energy.csv", energy_lower(traj, basis), energy_higher(traj, basis), flux)
     _write_csv(report_path, header, table)

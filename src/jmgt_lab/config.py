@@ -97,6 +97,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     warnings: list[str] = []
     values: dict[tuple[str, str], object] = {}
     lines_of: dict[tuple[str, str], int] = {}
+    invalid: set[tuple[str, str]] = set()
     section: str | None = None
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -133,10 +134,11 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             lines_of[(section, key)] = lineno
         except ValueError as exc:
             errors.append(f"line {lineno}: invalid value for {key!r}: {exc}")
+            invalid.add((section, key))
 
     for section_name, keys in _SCHEMA.items():
         for key, (kind, required, default) in keys.items():
-            if (section_name, key) not in values:
+            if (section_name, key) not in values and (section_name, key) not in invalid:
                 if required:
                     errors.append(
                         f"{source}: missing required key {key!r} in [{section_name}]"

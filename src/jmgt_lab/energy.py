@@ -23,15 +23,8 @@ from .assembly import (
     sample_field,
 )
 from .basis import End, SpectralBasis, build_quadrature, trace_vector
-from .exceptions import InconsistentEnergyError, UnsupportedOrderError
-from .model import (
-    MAX_SIGNAL_ORDER,
-    BoundaryKind,
-    ModelParams,
-    SolverConfig,
-    WindowedSignal,
-    signal_eval,
-)
+from .exceptions import InconsistentEnergyError
+from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal, signal_eval
 
 if TYPE_CHECKING:
     from .integrate import Trajectory
@@ -152,10 +145,9 @@ class EnergyRecord:
 
 @dataclass
 class BoundaryFlux:
-    """Absorbing-end flux series: squared traces and their accumulators."""
+    """Absorbing-end flux series: the accumulated acceleration flux and the
+    running maximum of the velocity flux."""
 
-    sq_trace_t: np.ndarray
-    sq_trace_tt: np.ndarray
     acceleration_flux_accum: np.ndarray
     velocity_flux_max: np.ndarray
 
@@ -233,8 +225,6 @@ def boundary_flux(
     sq_trace_t = (traj.coeff_t @ traces) ** 2
     sq_trace_tt = (traj.coeff_tt @ traces) ** 2
     return BoundaryFlux(
-        sq_trace_t=sq_trace_t,
-        sq_trace_tt=sq_trace_tt,
         acceleration_flux_accum=params.c2
         * params.beta
         * trapezoid_running(sq_trace_tt, traj.dt),
@@ -247,30 +237,24 @@ class DataNorms:
     """Right-hand-side data norms of the estimates.
 
     ``signal_sup[m]`` and ``signal_l2[m]`` are the sup-in-time and L2-in-time
-    norms of the m-th signal derivative (boundary norms are plain absolute
-    values on an interval end).  Source norms are L2(L2) and H1(L2).
+    norms of the m-th signal derivative, m = 0..3 (boundary norms are plain
+    absolute values on an interval end).
     """
 
     signal_sup: tuple[float, ...]
     signal_l2: tuple[float, ...]
-    source_l2l2: float = 0.0
-    source_h1l2: float = 0.0
 
     def lower_total(self) -> float:
-        """||g||^2_{W1inf} + ||g_t||^2_{H1} + ||f||^2_{L2L2}."""
+        """||g||^2_{W1inf} + ||g_t||^2_{H1}."""
         return (
             self.signal_sup[0] ** 2
             + self.signal_sup[1] ** 2
             + self.signal_l2[1] ** 2
             + self.signal_l2[2] ** 2
-            + self.source_l2l2**2
         )
 
     def higher_total(self, tau: float) -> float:
-        """tau^2||g_ttt||^2_{L2} + tau||g_tt||^2_{sup} + ||g||^2_{H2}
-        + ||g_t||^2_{sup} + ||f||^2_{H1L2}."""
-        if len(self.signal_sup) < 4:
-            raise ValueError("higher bundle requires data norms up to order 3")
+        """tau^2||g_ttt||^2_{L2} + tau||g_tt||^2_{sup} + ||g||^2_{H2} + ||g_t||^2_{sup}."""
         return (
             tau**2 * self.signal_l2[3] ** 2
             + tau * self.signal_sup[2] ** 2
@@ -278,51 +262,19 @@ class DataNorms:
             + self.signal_l2[1] ** 2
             + self.signal_l2[2] ** 2
             + self.signal_sup[1] ** 2
-            + self.source_h1l2**2
         )
 
 
-def data_norms(
-    g: WindowedSignal | None,
-    f: SpaceTimeFn | None,
-    params: ModelParams,
-    config: SolverConfig,
-    max_order: int = 2,
-    basis: SpectralBasis | None = None,
-) -> DataNorms:
-    """Sup and L2 time norms of the signal derivatives plus source norms.
-
-    ``max_order`` 2 covers the lower estimate; pass 3 or 4 when the
-    higher-order or mixed-boundary bundles are requested.  The source time
-    derivative is approximated by second-order differences on the grid.
-    """
-    if max_order > MAX_SIGNAL_ORDER:
-        raise UnsupportedOrderError(
-            f"data norms up to order {max_order} requested; signal supports {MAX_SIGNAL_ORDER}"
-        )
+def data_norms(g: WindowedSignal | None, config: SolverConfig) -> DataNorms:
+    """Sup and L2 time norms on the config's grid of the signal derivatives of
+    orders 0..3, the orders the lower and higher totals read."""
     times = config.times
     sups, l2s = [], []
-    for m in range(max_order + 1):
+    for m in range(4):
         series = signal_eval(g, times, m) if g is not None else np.zeros(times.size)
         sups.append(float(np.abs(series).max()))
         l2s.append(float(np.sqrt(trapezoid_total(series**2, config.dt))))
-    source_l2l2 = source_h1l2 = 0.0
-    if f is not None:
-        if basis is None:
-            raise ValueError("source norms require the basis to build a spatial quadrature")
-        quad = build_quadrature(basis.length, config.quad_points)
-        values = np.stack([np.asarray(f(quad.nodes, t), dtype=float) for t in times])
-        sq_l2 = values**2 @ quad.weights
-        rate = np.gradient(values, config.dt, axis=0)
-        sq_rate = rate**2 @ quad.weights
-        source_l2l2 = float(np.sqrt(trapezoid_total(sq_l2, config.dt)))
-        source_h1l2 = float(np.sqrt(trapezoid_total(sq_l2 + sq_rate, config.dt)))
-    return DataNorms(
-        signal_sup=tuple(sups),
-        signal_l2=tuple(l2s),
-        source_l2l2=source_l2l2,
-        source_h1l2=source_h1l2,
-    )
+    return DataNorms(signal_sup=tuple(sups), signal_l2=tuple(l2s))
 
 
 @dataclass(frozen=True)
@@ -332,7 +284,9 @@ class AuditReport:
     Absolute estimate constants are never reported; sweeps of ratios are the
     judgement mechanism.  ``lhs_total`` is ``EnergyRecord.total(mode)``.
     ``log_constant`` tracks the natural log of the tau-dependent constant
-    shape (with unit prefactors) in TAU_DEPENDENT mode and is None otherwise.
+    shape in TAU_DEPENDENT mode and is None otherwise.  Its prefactors, the
+    coefficient bound sup|alpha| among them, are taken as 1 (the unit-prefactor
+    convention), also for nonlinear runs, where alpha = 1 - 2k*psi_t.
     """
 
     mode: AuditMode
@@ -371,7 +325,8 @@ def audit_estimate(energy: EnergyRecord, data: DataNorms, mode: AuditMode) -> Au
     if mode is AuditMode.TAU_DEPENDENT:
         if tau <= 0.0:
             raise ValueError("the tau-dependent audit requires tau > 0")
-        # the coefficient bound sup|alpha| is 1 for every audited run
+        # unit-prefactor convention: sup|alpha| enters as 1, also for the nonlinear
+        # runs, whose alpha = 1 - 2k*psi_t
         log_constant = (
             float(np.log(1.0 / tau**2 + horizon**2 + 1.0))
             + (2.0 / tau + 1.0 + horizon) * horizon

@@ -66,6 +66,21 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def __sub__(self, other: "Trajectory") -> "Trajectory":
+        """Difference on the common time grid, at the parameters and bc of ``self``.
+
+        ``coeff_ttt`` is None when ``self`` carries none.
+        """
+        if self.times.shape != other.times.shape or not np.allclose(self.times, other.times):
+            raise ValueError("trajectories live on different time grids")
+        return replace(
+            self,
+            coeff=self.coeff - other.coeff,
+            coeff_t=self.coeff_t - other.coeff_t,
+            coeff_tt=self.coeff_tt - other.coeff_tt,
+            coeff_ttt=None if self.coeff_ttt is None else self.coeff_ttt - other.coeff_ttt,
+        )
+
 
 def zero_trajectory(
     params: ModelParams,

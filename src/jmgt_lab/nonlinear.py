@@ -53,7 +53,9 @@ class PicardReport:
     ``differences[m]`` is the energy-norm distance between iterates m and
     m+1 (the first entry measures the distance from the zero initial
     iterate); ``factors`` are consecutive ratios of differences;
-    ``iterate_norms[m]`` is the distance of iterate m+1 from the zero iterate.
+    ``iterate_norms[m]`` is the distance of iterate m+1 from the zero iterate;
+    ``degeneracy_margin`` is the minimum of 1 - 2k*psi_t over the last
+    iterate's space-time evaluation grid.
     """
 
     iterations: int
@@ -73,16 +75,7 @@ def trajectory_distance(a: Trajectory, b: Trajectory, basis: SpectralBasis) -> f
     of ``a`` (trapezoid in time, max over stored steps).  For tau = 0 the
     first two terms drop, which is the Westervelt accounting.
     """
-    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times):
-        raise ValueError("trajectories live on different time grids")
-    difference = replace(
-        a,
-        coeff=a.coeff - b.coeff,
-        coeff_t=a.coeff_t - b.coeff_t,
-        coeff_tt=a.coeff_tt - b.coeff_tt,
-        coeff_ttt=None if a.coeff_ttt is None else a.coeff_ttt - b.coeff_ttt,
-    )
-    return float(np.sqrt(energy_lower(difference, basis).total(AuditMode.TAU_UNIFORM)))
+    return float(np.sqrt(energy_lower(a - b, basis).total(AuditMode.TAU_UNIFORM)))
 
 
 def _margin_series(
@@ -112,25 +105,18 @@ def degeneracy_check(
     return float(_margin_series(traj, basis, k, grid).min())
 
 
-def _guard_degeneracy(
-    traj: Trajectory,
-    basis: SpectralBasis,
-    k: float,
-    eval_grid: int,
-    iteration: int,
-) -> float:
-    margins = _margin_series(traj, basis, k, eval_grid)
+def _guard_degeneracy(margins: np.ndarray, times: np.ndarray, iteration: int) -> None:
+    """Abort on the first step whose margin is not positive; warn below 0.1."""
     margin = float(margins.min())
     if margin <= 0.0:
         first_bad = int(np.argmax(margins <= 0.0))
-        raise NonDegeneracyViolated(margin, float(traj.times[first_bad]), iteration)
+        raise NonDegeneracyViolated(margin, float(times[first_bad]), iteration)
     if margin < 0.1:
         warnings.warn(
             f"degeneracy margin {margin:.3g} < 0.1; the model is close to degenerate",
             RuntimeWarning,
             stacklevel=3,
         )
-    return margin
 
 
 #: A run whose contraction factor exceeds 1 this many times in a row diverges.
@@ -157,8 +143,9 @@ def _picard_loop(
     iterate_norms: list[float] = []
     for iteration in range(1, config.picard_max + 1):
         current = _integrate(order, params, basis, quad, alpha, loads, config, bc)
+        margins = _margin_series(current, basis, params.k, config.eval_grid)
         if guarded:
-            _guard_degeneracy(current, basis, params.k, config.eval_grid, iteration)
+            _guard_degeneracy(margins, current.times, iteration)
         diff = trajectory_distance(current, previous, basis)
         if differences:  # a previous difference is at least picard_tol > 0
             factors.append(diff / differences[-1])
@@ -178,7 +165,7 @@ def _picard_loop(
         iterations=len(differences),
         differences=differences,
         factors=factors,
-        degeneracy_margin=degeneracy_check(current, basis, params.k, config.eval_grid),
+        degeneracy_margin=float(margins.min()),
         iterate_norms=iterate_norms,
     )
 

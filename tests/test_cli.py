@@ -155,13 +155,16 @@ class TestParsing:
             ("k", "inf"),
             ("dt", "-inf"),
             ("tau_sweep", "0.1, nan"),
+            ("dt", "fast"),
         ],
     )
     def test_non_finite_value_rejected(self, key, value):
+        # a required key whose value does not parse is reported once, not also as missing
         with pytest.raises(ConfigFileError) as info:
             parse_config_text(config_with(**{key: value}))
-        expected = f"invalid value for {key!r}: expected a finite number"
-        assert any(expected in message for message in info.value.errors)
+        (message,) = info.value.errors
+        reason = "could not convert" if value == "fast" else "expected a finite number"
+        assert f"invalid value for {key!r}: {reason}" in message
 
 
 class TestRun:
@@ -190,6 +193,23 @@ class TestRun:
         assert "NonDegeneracyViolated" in report
         assert "violation_time" in report
         assert "margin" in report
+
+    @pytest.mark.parametrize(
+        "subcommand, overrides", [("solve-linear", {"tau": 0.0}), ("limit-study", {})]
+    )
+    def test_failed_config_check_creates_no_output_directory(
+        self, tmp_path, subcommand, overrides
+    ):
+        config = parse_config_text(config_with(**overrides))
+        out = tmp_path / "out"
+        assert run(subcommand, config, out_dir=out, quiet=True) == 1
+        assert not out.exists()
+
+    def test_solver_failure_creates_the_output_directory_for_its_report(self, tmp_path):
+        config = parse_config_text(config_with(amplitude=100.0))
+        out = tmp_path / "out"
+        assert run("solve-jmgt", config, out_dir=out, quiet=True) == 2
+        assert sorted(path.name for path in out.iterdir()) == ["report.csv"]
 
     def test_successful_jmgt_run_writes_all_artifacts(self, tmp_path):
         config = parse_config_text(BASE_CONFIG)

@@ -12,7 +12,6 @@ from jmgt_lab import (
     ModelParams,
     SolverConfig,
     Trajectory,
-    UnsupportedOrderError,
     WindowedSignal,
     audit_estimate,
     boundary_flux,
@@ -238,7 +237,8 @@ class TestBoundaryFlux:
         assert np.abs(flux.velocity_flux_max).max() == 0.0
 
     def test_constant_mode_trace_closed_form(self):
-        # xi_0'(t) = t: |tr psi_t|^2 = t^2 / L
+        # xi_0'(t) = t: |tr psi_t|^2 = t^2 / L, increasing, so its running max
+        # scaled by b*beta is b*beta*t^2 / L
         basis = build_basis(L, 3)
         params = ModelParams(c2=1.0, delta=1.0, tau=0.1, beta=1.0)
         config = SolverConfig(dt=0.01, t_final=1.0, n_modes=3)
@@ -249,12 +249,17 @@ class TestBoundaryFlux:
         traj = synthetic_trajectory(basis, config, params, fill)
         traj.bc = BoundaryKind.MIXED
         flux = boundary_flux(traj, params, basis)
-        np.testing.assert_allclose(flux.sq_trace_t, traj.times**2 / L, rtol=1e-13)
+        expected = params.b * params.beta * traj.times**2 / L
+        np.testing.assert_allclose(flux.velocity_flux_max, expected, rtol=1e-13)
 
     def test_accumulator_matches_reintegration(self):
         basis, params, traj = self.mixed_run()
         flux = boundary_flux(traj, params, basis)
-        oracle = params.c2 * params.beta * trapezoid_running(flux.sq_trace_tt, traj.dt)
+        # psi_tt at the absorbing end x = L, where the cosine mode i equals
+        # sqrt(c_i / L) * (-1)^i with c_0 = 1 and c_i = 2 otherwise
+        scale = np.sqrt(np.where(np.arange(basis.n) == 0, 1.0, 2.0) / L)
+        trace_tt = traj.coeff_tt @ (scale * (-1.0) ** np.arange(basis.n))
+        oracle = params.c2 * params.beta * trapezoid_running(trace_tt**2, traj.dt)
         np.testing.assert_allclose(flux.acceleration_flux_accum, oracle, atol=1e-12)
         assert np.all(np.diff(flux.velocity_flux_max) >= 0.0)
 
@@ -271,60 +276,32 @@ class TestDataNorms:
         return SolverConfig(dt=dt, t_final=t_final, n_modes=4)
 
     def test_zero_data_zero_bundle(self):
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
-        bundle = data_norms(None, None, params, self.config(dt=0.01, t_final=1.0))
+        bundle = data_norms(None, self.config(dt=0.01, t_final=1.0))
+        assert len(bundle.signal_sup) == len(bundle.signal_l2) == 4
         assert all(value == 0.0 for value in bundle.signal_sup + bundle.signal_l2)
-        assert bundle.source_l2l2 == 0.0 and bundle.source_h1l2 == 0.0
 
     def test_amplitude_doubling_doubles_every_norm(self):
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
         config = self.config(dt=0.01, t_final=2.0)
-        base = data_norms(WindowedSignal(0.7, 2.0, 5, 1.0), None, params, config, max_order=4)
-        doubled = data_norms(WindowedSignal(1.4, 2.0, 5, 1.0), None, params, config, max_order=4)
+        base = data_norms(WindowedSignal(0.7, 2.0, 5, 1.0), config)
+        doubled = data_norms(WindowedSignal(1.4, 2.0, 5, 1.0), config)
         for a, b in zip(base.signal_sup, doubled.signal_sup):
             assert b == 2.0 * a
         for a, b in zip(base.signal_l2, doubled.signal_l2):
             assert b == pytest.approx(2.0 * a, rel=1e-14)
 
     def test_against_dense_grid_oracle(self):
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
         sig = WindowedSignal(1.0, 2.0, 5, 1.0)
         config = self.config()
-        bundle = data_norms(sig, None, params, config, max_order=4)
+        bundle = data_norms(sig, config)
         from jmgt_lab import signal_eval
 
         dense = np.linspace(0.0, 4.0, 10 * config.n_steps + 1)
-        for order in range(5):
+        for order in range(4):
             series = signal_eval(sig, dense, order)
             sup = np.abs(series).max()
             l2 = math.sqrt(np.trapezoid(series**2, dense))
             assert bundle.signal_sup[order] == pytest.approx(sup, rel=1e-6)
             assert bundle.signal_l2[order] == pytest.approx(l2, rel=1e-6)
-
-    def test_source_norms_require_basis(self):
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
-        with pytest.raises(ValueError):
-            data_norms(None, lambda x, t: x, params, self.config(dt=0.01, t_final=1.0))
-
-    def test_source_norms_against_closed_form(self):
-        # f(x, t) = t on [0, pi]: ||f||_{L2L2}^2 = pi T^3 / 3,
-        # ||f||_{H1L2}^2 = pi (T^3/3 + T)
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
-        basis = build_basis(L, 4)
-        config = SolverConfig(dt=1e-3, t_final=2.0, n_modes=4)
-        bundle = data_norms(
-            None, lambda x, t: np.full_like(x, t), params, config, basis=basis
-        )
-        horizon = 2.0
-        assert bundle.source_l2l2**2 == pytest.approx(math.pi * horizon**3 / 3.0, rel=1e-5)
-        assert bundle.source_h1l2**2 == pytest.approx(
-            math.pi * (horizon**3 / 3.0 + horizon), rel=1e-5
-        )
-
-    def test_unsupported_order_rejected(self):
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
-        with pytest.raises(UnsupportedOrderError):
-            data_norms(None, None, params, self.config(dt=0.01, t_final=1.0), max_order=5)
 
 
 class TestAudit:
@@ -336,7 +313,7 @@ class TestAudit:
         traj = solve_smgt_linear(params, basis, constant_field(1.0), None, sig, config)
         lower = energy_lower(traj, basis)
         higher = energy_higher(traj, basis)
-        bundle = data_norms(sig, None, params, config, max_order=4)
+        bundle = data_norms(sig, config)
         return lower, higher, bundle
 
     def test_zero_data_zero_energy_ratio_is_zero(self):
@@ -344,14 +321,13 @@ class TestAudit:
         params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
         config = SolverConfig(dt=0.01, t_final=1.0, n_modes=4)
         record = energy_lower(zero_trajectory(params, basis, config), basis)
-        bundle = data_norms(None, None, params, config)
+        bundle = data_norms(None, config)
         report = audit_estimate(record, bundle, AuditMode.TAU_UNIFORM)
         assert report.ratio == 0.0
 
     def test_zero_data_nonzero_energy_is_inconsistent(self):
         lower, _, _ = self.run_with_tau(0.1)
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
-        zero_bundle = data_norms(None, None, params, SolverConfig(dt=0.01, t_final=1.0, n_modes=8))
+        zero_bundle = data_norms(None, SolverConfig(dt=0.01, t_final=1.0, n_modes=8))
         with pytest.raises(InconsistentEnergyError):
             audit_estimate(lower, zero_bundle, AuditMode.TAU_UNIFORM)
 

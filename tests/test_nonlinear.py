@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jmgt_lab.integrate
+import jmgt_lab.nonlinear
 from jmgt_lab import (
     BoundaryKind,
     ModelParams,
@@ -125,6 +126,17 @@ class TestContractionNorm:
         assert trajectory_distance(v, zero, basis) == pytest.approx(expected, rel=1e-13)
         assert trajectory_distance(zero, v, basis) == pytest.approx(expected, rel=1e-13)
 
+    def test_difference_on_mismatched_grids_rejected(self):
+        basis = build_basis(L, 4)
+        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
+        coarse = zero_trajectory(params, basis, SolverConfig(dt=0.02, t_final=1.0, n_modes=4))
+        for t_final in (1.0, 0.5):  # same length on another grid, then another length
+            other = zero_trajectory(params, basis, SolverConfig(dt=0.01, t_final=t_final, n_modes=4))
+            with pytest.raises(ValueError, match="different time grids"):
+                coarse - other
+            with pytest.raises(ValueError, match="different time grids"):
+                trajectory_distance(other, coarse, basis)
+
 
 class TestPicardLoop:
     def test_zero_data_converges_in_one_iteration(self):
@@ -214,6 +226,23 @@ class TestGuard:
         assert report.differences[-1] < config.picard_tol
         # the clamp saturated somewhere, hence the recorded margin is <= 0
         assert report.degeneracy_margin <= 0.0
+
+    @pytest.mark.parametrize("variant", list(NonlinearVariant), ids=lambda v: v.value)
+    def test_one_margin_series_per_iteration(self, monkeypatch, variant):
+        calls = []
+        original = jmgt_lab.nonlinear._margin_series
+
+        def counting(traj, *args):
+            series = original(traj, *args)
+            calls.append(float(series.min()))
+            return series
+
+        monkeypatch.setattr(jmgt_lab.nonlinear, "_margin_series", counting)
+        basis, params, sig, config = small_setup()
+        _, report = solve_jmgt(params, basis, None, sig, config, variant=variant)
+        assert report.iterations > 2
+        assert len(calls) == report.iterations
+        assert report.degeneracy_margin == calls[-1]
 
     def test_successful_full_run_margin_positive(self):
         basis, params, sig, config = small_setup(amplitude=0.6)

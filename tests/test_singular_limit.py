@@ -5,13 +5,17 @@ the relaxation time vanishes.  On the criterion-05 drive (amplitude 0.5,
 frequency 2, decay rate 2, k = 0.4, pure Neumann) the limit-study error in
 the higher energy is first order in tau, and its tau-normalized size does not
 depend on the time step even for tau far below dt: the BDF2 SMGT scheme
-tends to BDF2 Westervelt.
+tends to BDF2 Westervelt.  The fixed-point argument is tau-uniform too: the
+Picard contraction factor of the JMGT runs stays below the Westervelt one and
+tends to it.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from jmgt_lab import build_basis, solve_jmgt, solve_westervelt_nonlinear
 from jmgt_lab.cli import limit_study
 from jmgt_lab.config import parse_config_text
 
@@ -24,7 +28,7 @@ k = 0.4
 beta = 0.0
 
 [signal]
-amplitude = 0.5
+amplitude = {amplitude}
 frequency = 2.0
 onset_power = 5
 decay_rate = 2.0
@@ -52,7 +56,10 @@ RECORDED = {
 
 @pytest.fixture(scope="module")
 def rows_by_step():
-    return {dt: limit_study(parse_config_text(CONFIG.format(dt=dt)))[0].rows for dt in STEPS}
+    return {
+        dt: limit_study(parse_config_text(CONFIG.format(dt=dt, amplitude=0.5)))[0].rows
+        for dt in STEPS
+    }
 
 
 @pytest.mark.parametrize("dt", STEPS)
@@ -76,3 +83,28 @@ def test_normalized_error_matches_the_recorded_values(rows_by_step, dt):
     # the rate alone misses a wrong damping coefficient b: it shifts this by a few percent
     for row, recorded in zip(rows_by_step[dt], RECORDED[dt]):
         assert row.energy_error / row.tau == pytest.approx(recorded, rel=1e-2), row.tau
+
+
+#: Relaxation times of the contraction study, decreasing towards Westervelt.
+FACTOR_TAUS = (0.1, 0.01, 0.001)
+
+
+def contraction_factor(report):
+    """Largest of the first three contraction factors of a Picard run."""
+    return max(report.factors[:3])
+
+
+@pytest.mark.parametrize("amplitude", [0.5, 2.0])
+def test_contraction_factor_is_uniform_in_tau(amplitude):
+    config = parse_config_text(CONFIG.format(dt=0.02, amplitude=amplitude))
+    basis = build_basis(config.length, config.solver.n_modes)
+    args = (basis, None, config.signal, config.solver, config.bc)
+    factors = [
+        contraction_factor(solve_jmgt(replace(config.params, tau=tau), *args)[1])
+        for tau in FACTOR_TAUS
+    ]
+    westervelt = contraction_factor(solve_westervelt_nonlinear(config.params, *args)[1])
+    assert all(factor <= 1.01 * westervelt for factor in factors), (factors, westervelt)
+    gaps = [abs(factor - westervelt) for factor in factors]
+    assert all(fine < coarse for coarse, fine in zip(gaps, gaps[1:])), gaps
+    assert factors[-1] == pytest.approx(westervelt, rel=1e-2)

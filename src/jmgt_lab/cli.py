@@ -237,19 +237,27 @@ def _picard_report_rows(report: PicardReport) -> list[list]:
     return rows
 
 
-def _audits(traj: Trajectory, basis: SpectralBasis, bundle: DataNorms) -> list[AuditReport]:
+Energies = tuple[EnergyRecord, EnergyRecord]
+
+
+def _energies(traj: Trajectory, basis: SpectralBasis) -> Energies:
+    """The lower and higher energy records of one run: its audits and its energy.csv."""
+    return energy_lower(traj, basis), energy_higher(traj, basis)
+
+
+def _audits(energies: Energies, bundle: DataNorms) -> list[AuditReport]:
     """Audit reports of one run, in every mode that applies (TauDependent needs tau > 0)."""
-    lower, higher = energy_lower(traj, basis), energy_higher(traj, basis)
+    lower, higher = energies
     return [
         audit_estimate(higher if mode is AuditMode.HIGHER else lower, bundle, mode)
         for mode in AuditMode
-        if mode is not AuditMode.TAU_DEPENDENT or traj.params.tau > 0.0
+        if mode is not AuditMode.TAU_DEPENDENT or lower.tau > 0.0
     ]
 
 
-def _audit_rows(config: ExperimentConfig, traj: Trajectory, basis: SpectralBasis) -> list[list]:
+def _audit_rows(config: ExperimentConfig, energies: Energies) -> list[list]:
     rows: list[list] = []
-    for report in _audits(traj, basis, data_norms(config.signal, config.solver)):
+    for report in _audits(energies, data_norms(config.signal, config.solver)):
         mode = report.mode
         rows.append(["audit", f"{mode.value}_ratio", report.ratio])
         if report.log_constant is not None:
@@ -261,7 +269,7 @@ def _audit_rows(config: ExperimentConfig, traj: Trajectory, basis: SpectralBasis
 
 def _single_run(
     subcommand: str, config: ExperimentConfig, basis: SpectralBasis
-) -> tuple[Trajectory, list[list]]:
+) -> tuple[Trajectory, Energies, list[list]]:
     variant = _SOLVE_VARIANTS[subcommand]
     rows: list[list] = []
     if variant is None:
@@ -273,25 +281,27 @@ def _single_run(
             config.params, basis, None, config.signal, config.solver, config.bc, variant
         )
         rows += _picard_report_rows(picard)
-    rows += _audit_rows(config, traj, basis)
-    return traj, rows
+    energies = _energies(traj, basis)
+    rows += _audit_rows(config, energies)
+    return traj, energies, rows
 
 
 def _energy_audit(
     config: ExperimentConfig, basis: SpectralBasis, taus: tuple[float, ...]
-) -> tuple[Trajectory, list[list]]:
-    """Audit table over ``taus``; returns the first run for the artifacts."""
+) -> tuple[Trajectory, Energies, list[list]]:
+    """Audit table over ``taus``; returns the first run and its energies for the artifacts."""
     bundle = data_norms(config.signal, config.solver)
-    first: Trajectory | None = None
+    first: tuple[Trajectory, Energies] | None = None
     table = []
     for tau in taus:
         params_tau = replace(config.params, tau=tau)
         traj = solve_smgt_linear(
             params_tau, basis, constant_field(1.0), None, config.signal, config.solver, config.bc
         )
+        energies = _energies(traj, basis)
         if first is None:
-            first = traj
-        for report in _audits(traj, basis, bundle):
+            first = traj, energies
+        for report in _audits(energies, bundle):
             table.append(
                 [
                     tau,
@@ -303,7 +313,7 @@ def _energy_audit(
                     ";".join(report.flags),
                 ]
             )
-    return first, table
+    return *first, table
 
 
 def _failure_rows(exc: SolverFailure) -> list[list]:
@@ -346,11 +356,12 @@ def run(
     basis = build_basis(config.length, config.solver.n_modes)
     try:
         if subcommand in _SOLVE_VARIANTS:
-            traj, table = _single_run(subcommand, config, basis)
+            traj, energies, table = _single_run(subcommand, config, basis)
             header = ["section", "key", "value"]
             summary = f"{traj.n_steps} steps"
         elif subcommand == "limit-study":
             result, traj = limit_study(config)
+            energies = _energies(traj, basis)
             header = [f.name for f in fields(LimitRow)]
             header += ["reference_iterations", "reference_margin"]
             reference = [result.reference_iterations, result.reference_margin]
@@ -358,11 +369,12 @@ def run(
             summary = f"{len(result.rows)} sweep members"
         elif subcommand == "energy-audit":
             taus = (config.params.tau,) if config.tau_sweep is None else config.tau_sweep
-            traj, table = _energy_audit(config, basis, taus)
+            traj, energies, table = _energy_audit(config, basis, taus)
             header = ["tau", "mode", "lhs", "rhs", "ratio", "log_constant", "flags"]
             summary = f"{len(taus)} run(s)"
         else:
             rows, traj = mms_study(config)
+            energies = _energies(traj, basis)
             header = [f.name for f in fields(MmsRow)]
             table = [astuple(row) for row in rows]
             summary = f"{len(rows)} rows"
@@ -380,7 +392,7 @@ def run(
     flux = None if subcommand in ("limit-study", "mms") else boundary_flux(traj, traj.params, basis)
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory(out / "trajectory.csv", traj)
-    _write_energy(out / "energy.csv", energy_lower(traj, basis), energy_higher(traj, basis), flux)
+    _write_energy(out / "energy.csv", *energies, flux)
     _write_csv(report_path, header, table)
     if not quiet:
         print(f"{subcommand}: {summary}, artifacts in {out}")

@@ -6,6 +6,10 @@ infinity, which the third-order system needs because tau multiplies its
 highest derivative.  Each step solves one n x n system for the highest stored
 derivative; the lower ones follow by back-substitution.  The stepping core
 takes arrays only: alpha at the grid times and quadrature nodes, and the loads.
+The step operator is built once per run: the time-invariant part of the step
+matrix once per BDF coefficient, and, when alpha does not change in time, the
+whole step matrix (two per run, startup and BDF2).  Otherwise each step adds
+only its mass term.
 """
 
 from __future__ import annotations
@@ -184,6 +188,14 @@ def _integrate(
     leaves one n x n system per step.  For order 3 the top is xi'' and xi'''
     is its BDF difference; for order 2 (params at tau = 0, so b = delta) the
     top is xi' and xi'' is its BDF difference.
+
+    The step matrix is the gain-weighted sum of the coefficients.  Its elastic,
+    damping and inertia terms depend only on c0 (1 at the startup step, 1.5
+    after it), so they are summed once per c0.  When every row of ``alpha``
+    equals row 0 the mass is assembled once and the whole step matrix is
+    built once per c0; otherwise each step adds its own mass term.  The
+    summation order is that of a per-step sum, so both paths give the same
+    bits.
     """
     n = basis.n
     steps = config.n_steps
@@ -194,7 +206,7 @@ def _integrate(
     masses = TimeVaryingMass(basis, quad, alpha)
     boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
 
-    # momentum-balance coefficients of xi, xi', xi'' (M(t) + acc_extra, per step) and xi'''
+    # momentum-balance coefficients of xi, xi', xi'' (M(t) + acc_extra) and xi'''
     elastic = params.c2 * stiffness
     damping = params.b * stiffness
     acc_extra = np.zeros((n, n))
@@ -203,26 +215,48 @@ def _integrate(
         acc_extra = params.b * params.beta * boundary
     inertia = params.tau * np.eye(n)
 
+    # per BDF coefficient c0 (startup, then BDF2): s, the gains of the coefficients
+    # (derivative j = gains[j] * top + shifts[j]) and the step-matrix terms without mass
+    plans = []
+    for c0 in (1.0, 1.5):
+        s = c0 / dt
+        gains = s ** np.arange(1.0 - order, 2.0)
+        fixed = sum(gain * coefficient for gain, coefficient in zip(gains, (elastic, damping)))
+        inertia_term = gains[3] * inertia if order == 3 else None
+        plans.append((s, gains, fixed, inertia_term))
+
+    def step_matrix(plan, mass):
+        _, gains, fixed, inertia_term = plan
+        matrix = fixed + gains[2] * mass
+        return matrix if inertia_term is None else matrix + inertia_term
+
+    # NaN never equals itself, so a NaN field takes the per-step path
+    constant = bool(np.all(alpha == alpha[0]))
+    if constant:
+        mass = masses.matrix(0) + acc_extra
+        matrices = [step_matrix(plan, mass) for plan in plans]
+
     # derivs[j] is the j-th time derivative; derivs[order] is the BDF difference
     derivs = np.zeros((order + 1, steps + 1, n))
     if order == 3:
         derivs[3, 0] = loads[0] / params.tau
     for m in range(steps):
         if m == 0:
-            c0 = 1.0
             hist = derivs[:order, 0]
         else:
-            c0 = 1.5
             hist = 2.0 * derivs[:order, m] - 0.5 * derivs[:order, m - 1]
-        s = c0 / dt
-        coefficients = (elastic, damping, masses.matrix(m + 1) + acc_extra, inertia)[: order + 1]
-        # derivative j = gains[j] * top + shifts[j] for j = 0..order
-        gains = s ** np.arange(1.0 - order, 2.0)
+        plan = plans[min(m, 1)]
+        s, gains = plan[:2]
+        if constant:
+            matrix = matrices[min(m, 1)]
+        else:
+            mass = masses.matrix(m + 1) + acc_extra
+            matrix = step_matrix(plan, mass)
+        coefficients = (elastic, damping, mass, inertia)[: order + 1]
         shifts = np.zeros((order + 1, n))
         shifts[order] = -hist[order - 1] / dt
         for j in range(order - 2, -1, -1):
             shifts[j] = (shifts[j + 1] + hist[j] / dt) / s
-        matrix = sum(gain * coefficient for gain, coefficient in zip(gains, coefficients))
         rhs = loads[m + 1] - sum(
             coefficient @ shift for coefficient, shift in zip(coefficients, shifts)
         )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jmgt_lab import BoundaryKind, ConfigFileError
+from jmgt_lab import BoundaryKind, ConfigFileError, cli
 from jmgt_lab.cli import main, mms_study, limit_study, run
 from jmgt_lab.config import parse_config, parse_config_text
 
@@ -316,6 +316,26 @@ class TestRun:
         lines = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert lines[0] == "tau,mode,lhs,rhs,ratio,log_constant,flags"
         assert len(lines) == 1 + 2 * 3  # two taus, three modes each
+
+    @pytest.mark.parametrize(
+        "subcommand, overrides, runs",
+        [("solve-linear", {}, 1), ("energy-audit", {"tau_sweep": "1e-1, 3e-2, 1e-2"}, 3)],
+    )
+    def test_energy_records_once_per_trajectory(
+        self, tmp_path, monkeypatch, subcommand, overrides, runs
+    ):
+        # the audit rows and energy.csv of the written run share its records
+        calls = {"energy_lower": 0, "energy_higher": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        config = parse_config_text(config_with(**overrides))
+        assert run(subcommand, config, out_dir=tmp_path, quiet=True) == 0
+        assert calls == {"energy_lower": runs, "energy_higher": runs}
 
 
 class TestMain:

@@ -22,10 +22,13 @@ from jmgt_lab import (
     build_quadrature,
     constant_field,
     recover_third,
+    solve_jmgt,
     solve_smgt_linear,
     solve_westervelt_linearized,
+    solve_westervelt_nonlinear,
 )
-from jmgt_lab.assembly import CoefficientField
+from jmgt_lab import nonlinear
+from jmgt_lab.assembly import CoefficientField, TimeVaryingMass
 
 L = math.pi
 MODE_AMP = math.sqrt(math.pi / 2.0)  # cos(x) = MODE_AMP * w_1 on [0, pi]
@@ -203,32 +206,45 @@ class TestDiscreteEquations:
     Each stored derivative and the one above it obey the BDF2 kinematic
     identity (implicit Euler at the first step), xi''' agrees with the
     momentum balance solved for it (``recover_third``), and the Westervelt
-    arrays satisfy their balance at every step after the start.
+    arrays satisfy their balance at every step after the start.  The fields
+    cover both ways the core builds its step matrix: once per run for a
+    constant alpha, and per step for one that varies, including one that
+    leaves 1 at a single interior grid time only.
     """
 
     DT = 0.01
     T_FINAL = 0.5
+    BUMP_TIME = 0.25
 
     @staticmethod
     def field():
         return CoefficientField(value=lambda x, t: 1.0 + 0.3 * np.cos(x) * np.sin(t))
 
+    @classmethod
+    def fields(cls):
+        def bump(x, t):
+            values = np.ones_like(np.asarray(x, dtype=float))
+            return values * (1.6 if abs(t - cls.BUMP_TIME) < cls.DT / 2 else 1.0)
+
+        return {"constant": constant_field(1.7), "bump": CoefficientField(value=bump)}
+
     @staticmethod
     def source(x, t):
         return t * np.sin(2.0 * x) + t**2 * np.cos(x)
 
-    def run(self, solve, n, tau, bc):
+    def run(self, solve, n, tau, bc, field=None):
+        field = self.field() if field is None else field
         basis = build_basis(L, n)
         params = ModelParams(c2=1.0, delta=0.5, tau=tau, beta=0.6)
         config = SolverConfig(dt=self.DT, t_final=self.T_FINAL, n_modes=n)
         drive = WindowedSignal(0.5, 2.0, 5, 1.0)
-        traj = solve(params, basis, self.field(), self.source, drive, config, bc)
+        traj = solve(params, basis, field, self.source, drive, config, bc)
         quad = build_quadrature(L, config.quad_points)
         loads = [
             assemble_load(basis, quad, self.source, drive, traj.params, t, bc)
             for t in traj.times
         ]
-        masses = [assemble_mass(basis, quad, self.field(), t) for t in traj.times]
+        masses = [assemble_mass(basis, quad, field, t) for t in traj.times]
         boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
         return traj, assemble_stiffness(basis, quad), masses, loads, boundary
 
@@ -242,14 +258,7 @@ class TestDiscreteEquations:
             assert scale > 0.0
             assert np.abs(difference - dt * upper[1:]).max() <= 1e-12 * scale
 
-    @given(
-        n=st.integers(1, 24),
-        tau=st.floats(-4.0, 0.0).map(lambda exponent: 10.0**exponent),
-        bc=st.sampled_from(list(BoundaryKind)),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_smgt_arrays_solve_the_discrete_equations(self, n, tau, bc):
-        traj, stiffness, masses, loads, boundary = self.run(solve_smgt_linear, n, tau, bc)
+    def assert_smgt_oracles(self, traj, stiffness, masses, loads, boundary):
         self.assert_kinematics((traj.coeff, traj.coeff_t, traj.coeff_tt, traj.coeff_ttt), traj.dt)
         recovered = np.array(
             [
@@ -269,12 +278,7 @@ class TestDiscreteEquations:
         scale = np.abs(traj.coeff_ttt).max()
         assert np.abs(recovered - traj.coeff_ttt).max() <= 1e-10 * scale
 
-    @given(n=st.integers(1, 24), bc=st.sampled_from(list(BoundaryKind)))
-    @settings(max_examples=20, deadline=None)
-    def test_westervelt_arrays_solve_the_discrete_equations(self, n, bc):
-        traj, stiffness, masses, loads, boundary = self.run(
-            solve_westervelt_linearized, n, 0.1, bc
-        )
+    def assert_westervelt_oracles(self, traj, stiffness, masses, loads, boundary):
         self.assert_kinematics((traj.coeff, traj.coeff_t, traj.coeff_tt), traj.dt)
         params = traj.params
         damping = params.b * stiffness
@@ -290,6 +294,82 @@ class TestDiscreteEquations:
             )
             scale = max(np.abs(term).max() for term in (loads[m], *terms))
             assert np.abs(loads[m] - sum(terms)).max() <= 1e-12 * scale
+
+    @given(
+        n=st.integers(1, 24),
+        tau=st.floats(-4.0, 0.0).map(lambda exponent: 10.0**exponent),
+        bc=st.sampled_from(list(BoundaryKind)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_smgt_arrays_solve_the_discrete_equations(self, n, tau, bc):
+        self.assert_smgt_oracles(*self.run(solve_smgt_linear, n, tau, bc))
+
+    @given(n=st.integers(1, 24), bc=st.sampled_from(list(BoundaryKind)))
+    @settings(max_examples=20, deadline=None)
+    def test_westervelt_arrays_solve_the_discrete_equations(self, n, bc):
+        self.assert_westervelt_oracles(*self.run(solve_westervelt_linearized, n, 0.1, bc))
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @pytest.mark.parametrize("name", ["constant", "bump"])
+    def test_smgt_constant_and_one_step_fields(self, name, bc):
+        field = self.fields()[name]
+        self.assert_smgt_oracles(*self.run(solve_smgt_linear, 6, 0.01, bc, field))
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @pytest.mark.parametrize("name", ["constant", "bump"])
+    def test_westervelt_constant_and_one_step_fields(self, name, bc):
+        field = self.fields()[name]
+        self.assert_westervelt_oracles(*self.run(solve_westervelt_linearized, 6, 0.1, bc, field))
+
+
+class TestStepOperatorOncePerRun:
+    """Mass assemblies and step solves per run, counted where the bench tracer counts them."""
+
+    PARAMS = ModelParams(c2=1.0, delta=1.0, tau=0.1, k=0.4, beta=0.5)
+    DRIVE = WindowedSignal(0.5, 2.0, 5, 1.0)
+    CONFIG = SolverConfig(dt=0.02, t_final=0.5, n_modes=5, picard_tol=1e-10)
+
+    @staticmethod
+    def count(monkeypatch, owner, attr):
+        calls = []
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @pytest.mark.parametrize("solve", [solve_smgt_linear, solve_westervelt_linearized])
+    def test_constant_field_assembles_one_mass(self, monkeypatch, solve, bc):
+        masses = self.count(monkeypatch, TimeVaryingMass, "matrix")
+        solves = self.count(monkeypatch, np.linalg, "solve")
+        basis = build_basis(L, self.CONFIG.n_modes)
+        solve(self.PARAMS, basis, constant_field(1.0), None, self.DRIVE, self.CONFIG, bc)
+        assert len(masses) == 1
+        assert len(solves) == self.CONFIG.n_steps
+
+    @pytest.mark.parametrize("solve", [solve_jmgt, solve_westervelt_nonlinear])
+    def test_picard_assembles_one_mass_for_the_first_iterate_only(self, monkeypatch, solve):
+        masses = self.count(monkeypatch, TimeVaryingMass, "matrix")
+        solves = self.count(monkeypatch, np.linalg, "solve")
+        per_iterate = []
+        original = nonlinear._integrate
+
+        def integrate(*args):
+            before = len(masses), len(solves)
+            result = original(*args)
+            per_iterate.append((len(masses) - before[0], len(solves) - before[1]))
+            return result
+
+        monkeypatch.setattr(nonlinear, "_integrate", integrate)
+        basis = build_basis(L, self.CONFIG.n_modes)
+        _, report = solve(self.PARAMS, basis, None, self.DRIVE, self.CONFIG, BoundaryKind.MIXED)
+        steps = self.CONFIG.n_steps
+        assert report.iterations >= 3
+        assert per_iterate == [(1, steps)] + [(steps, steps)] * (report.iterations - 1)
 
 
 class TestMixedBoundary:
@@ -384,6 +464,19 @@ class TestRobustness:
             )
         assert info.value.step >= 1
         assert info.value.time > 0.25
+
+
+    @pytest.mark.parametrize("solve", [solve_smgt_linear, solve_westervelt_linearized])
+    def test_nan_field_fails_at_the_first_step(self, solve):
+        # NaN never equals itself, so such a field never passes for a constant one
+        basis = build_basis(L, 3)
+        config = SolverConfig(dt=0.1, t_final=0.5, n_modes=3)
+        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
+        field = CoefficientField(value=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan))
+        with pytest.raises(SingularStepMatrixError) as info:
+            solve(params, basis, field, lambda x, t: np.ones_like(x), None, config)
+        assert info.value.step == 1
+        assert info.value.time == config.dt
 
 
 class TestWesterveltSnapshot:

@@ -47,6 +47,7 @@ from .exceptions import (
     CompatibilityError,
     ConfigFileError,
     InconsistentEnergyError,
+    InvalidParameters,
     JmgtLabError,
     NonDegeneracyViolated,
     PicardDivergenceError,

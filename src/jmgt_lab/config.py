@@ -3,55 +3,46 @@
 The format is deliberately small: UTF-8 text, `#` starts a comment, booleans
 would be `true`/`false`, lists are comma-separated.  Parsing collects every
 problem with its line number instead of stopping at the first one; duplicate
-keys follow a last-wins policy and are recorded as warnings.
+keys follow a last-wins policy and are recorded as warnings.  The rules and
+defaults of the model, signal and discretization keys live in their
+dataclasses; this module maps their violations to lines and checks only the
+file format and the command-line rules.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .exceptions import ConfigFileError
+from .exceptions import ConfigFileError, InvalidParameters
 from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_config_text"]
 
-_SECTIONS = ("model", "signal", "discretization", "experiment")
-
-#: section -> key -> (kind, required, default); kind in
-#: {"float", "int", "float_list", "str"}
-_SCHEMA: dict[str, dict[str, tuple[str, bool, object]]] = {
-    "model": {
-        "c2": ("float", True, None),
-        "delta": ("float", True, None),
-        "tau": ("float", True, None),
-        "k": ("float", True, None),
-        "beta": ("float", True, None),
-    },
+#: section -> key -> kind; kind in {"float", "int", "float_list", "str"}
+_SCHEMA: dict[str, dict[str, str]] = {
+    "model": {"c2": "float", "delta": "float", "tau": "float", "k": "float", "beta": "float"},
     "signal": {
-        "amplitude": ("float", True, None),
-        "frequency": ("float", True, None),
-        "onset_power": ("int", True, None),
-        "decay_rate": ("float", True, None),
+        "amplitude": "float", "frequency": "float", "onset_power": "int", "decay_rate": "float"
     },
     "discretization": {
-        "dt": ("float", True, None),
-        "t_final": ("float", True, None),
-        "n_modes": ("int", True, None),
-        "length": ("float", False, math.pi),
-        "quad_points": ("int", False, None),
-        "picard_tol": ("float", False, 1e-8),
-        "picard_max": ("int", False, 25),
-        "eval_grid": ("int", False, None),
+        "dt": "float", "t_final": "float", "n_modes": "int", "length": "float",
+        "quad_points": "int", "picard_tol": "float", "picard_max": "int", "eval_grid": "int",
     },
-    "experiment": {
-        "variant": ("str", False, "full"),
-        "bc": ("str", False, "neumann"),
-        "tau_sweep": ("float_list", False, None),
-        "mms_levels": ("int", False, 3),
-    },
+    "experiment": {"variant": "str", "bc": "str", "tau_sweep": "float_list", "mms_levels": "int"},
 }
+
+#: section -> the model dataclass that checks and defaults its keys
+_OWNERS = {"model": ModelParams, "signal": WindowedSignal, "discretization": SolverConfig}
+
+#: defaults of the keys that no model dataclass owns
+_DEFAULTS = {
+    "length": math.pi, "variant": "full", "bc": "neumann", "tau_sweep": None, "mms_levels": 3
+}
+
+#: keys a file may omit; an omitted dataclass key takes the dataclass default
+_OPTIONAL = {"quad_points", "picard_tol", "picard_max", "eval_grid", *_DEFAULTS}
 
 
 @dataclass
@@ -97,7 +88,6 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     warnings: list[str] = []
     values: dict[tuple[str, str], object] = {}
     lines_of: dict[tuple[str, str], int] = {}
-    invalid: set[tuple[str, str]] = set()
     section: str | None = None
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -106,7 +96,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in _SCHEMA:
                 errors.append(f"line {lineno}: unknown section [{name}]")
                 section = None
             else:
@@ -121,73 +111,56 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip().lower()
         raw_value = raw_value.strip()
-        spec = _SCHEMA[section].get(key)
-        if spec is None:
+        kind = _SCHEMA[section].get(key)
+        if kind is None:
             errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
             continue
         if (section, key) in values:
             warnings.append(
                 f"line {lineno}: duplicate key {key!r} in [{section}]; last value wins"
             )
+        lines_of[(section, key)] = lineno
         try:
-            values[(section, key)] = _cast(spec[0], raw_value)
-            lines_of[(section, key)] = lineno
+            values[(section, key)] = _cast(kind, raw_value)
         except ValueError as exc:
             errors.append(f"line {lineno}: invalid value for {key!r}: {exc}")
-            invalid.add((section, key))
 
     for section_name, keys in _SCHEMA.items():
-        for key, (kind, required, default) in keys.items():
-            if (section_name, key) not in values and (section_name, key) not in invalid:
-                if required:
-                    errors.append(
-                        f"{source}: missing required key {key!r} in [{section_name}]"
-                    )
-                else:
-                    values[(section_name, key)] = default
-                    lines_of[(section_name, key)] = 0
+        for key in keys:
+            if key not in _OPTIONAL and (section_name, key) not in lines_of:
+                errors.append(f"{source}: missing required key {key!r} in [{section_name}]")
 
     if errors:
         raise ConfigFileError(errors)
 
+    failed: set[tuple[str, str]] = set()
+
     def fail(section_name: str, key: str, message: str) -> None:
-        lineno = lines_of.get((section_name, key), 0)
-        prefix = f"line {lineno}: " if lineno else f"{source}: "
-        errors.append(f"{prefix}{key} {message}")
+        """Report the first broken rule of a key; defaults break none, so it has a line."""
+        if (section_name, key) not in failed:
+            failed.add((section_name, key))
+            errors.append(f"line {lines_of[(section_name, key)]}: {key} {message}")
 
     def get(section_name: str, key: str):
-        return values[(section_name, key)]
+        return values.get((section_name, key), _DEFAULTS.get(key))
 
-    if get("model", "c2") <= 0:
-        fail("model", "c2", "must be positive")
-    if get("model", "delta") <= 0:
-        fail("model", "delta", "must be positive")
-    if get("model", "tau") < 0:
-        fail("model", "tau", "must be nonnegative")
-    if get("model", "beta") < 0:
-        fail("model", "beta", "must be nonnegative")
+    built = {}
+    for section_name, owner in _OWNERS.items():
+        kwargs = {
+            item.name: values[(section_name, item.name)]
+            for item in fields(owner)
+            if (section_name, item.name) in values
+        }
+        try:
+            built[section_name] = owner(**kwargs)
+        except InvalidParameters as exc:
+            for key, rule in exc.violations:
+                fail(section_name, key, rule)
+
     if get("signal", "onset_power") < 5:
         fail("signal", "onset_power", "must be at least 5 (compatibility up to fourth order)")
-    if get("signal", "decay_rate") < 0:
-        fail("signal", "decay_rate", "must be nonnegative")
-    if get("discretization", "dt") <= 0:
-        fail("discretization", "dt", "must be positive")
-    if get("discretization", "t_final") <= get("discretization", "dt"):
-        fail("discretization", "t_final", "must exceed dt")
-    if get("discretization", "n_modes") < 1:
-        fail("discretization", "n_modes", "must be at least 1")
     if get("discretization", "length") <= 0:
         fail("discretization", "length", "must be positive")
-    quad_points = get("discretization", "quad_points")
-    if quad_points is not None and quad_points < 4 * get("discretization", "n_modes"):
-        fail("discretization", "quad_points", "must be at least 4 * n_modes")
-    if get("discretization", "picard_tol") <= 0:
-        fail("discretization", "picard_tol", "must be positive")
-    if get("discretization", "picard_max") < 1:
-        fail("discretization", "picard_max", "must be at least 1")
-    eval_grid = get("discretization", "eval_grid")
-    if eval_grid is not None and eval_grid < 2:
-        fail("discretization", "eval_grid", "must be at least 2")
     variant_raw = get("experiment", "variant").lower()
     if variant_raw != "full":
         fail(
@@ -215,36 +188,10 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
 
     if errors:
         raise ConfigFileError(errors)
-
-    try:
-        params = ModelParams(
-            c2=get("model", "c2"),
-            delta=get("model", "delta"),
-            tau=get("model", "tau"),
-            k=get("model", "k"),
-            beta=get("model", "beta"),
-        )
-        signal = WindowedSignal(
-            amplitude=get("signal", "amplitude"),
-            frequency=get("signal", "frequency"),
-            onset_power=get("signal", "onset_power"),
-            decay_rate=get("signal", "decay_rate"),
-        )
-        solver = SolverConfig(
-            dt=get("discretization", "dt"),
-            t_final=get("discretization", "t_final"),
-            n_modes=get("discretization", "n_modes"),
-            quad_points=quad_points,
-            picard_tol=get("discretization", "picard_tol"),
-            picard_max=get("discretization", "picard_max"),
-            eval_grid=eval_grid,
-        )
-    except ValueError as exc:
-        raise ConfigFileError([f"{source}: {exc}"]) from exc
     return ExperimentConfig(
-        params=params,
-        signal=signal,
-        solver=solver,
+        params=built["model"],
+        signal=built["signal"],
+        solver=built["discretization"],
         length=get("discretization", "length"),
         bc=bc,
         tau_sweep=sweep,

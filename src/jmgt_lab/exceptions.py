@@ -12,6 +12,7 @@ __all__ = [
     "UnsupportedOrderError",
     "InconsistentEnergyError",
     "ConfigFileError",
+    "InvalidParameters",
 ]
 
 
@@ -77,6 +78,19 @@ class UnsupportedOrderError(ValueError, JmgtLabError):
 
 class InconsistentEnergyError(JmgtLabError):
     """Zero data produced a nonzero energy record (uniqueness violated)."""
+
+
+class InvalidParameters(ValueError, JmgtLabError):
+    """Fields of a parameter object break their rules.
+
+    ``violations`` lists every failing ``(field, rule)`` pair, one per field,
+    where ``rule`` reads after the field name ("must be positive, got -1.0").
+    """
+
+    def __init__(self, owner: str, violations: list[tuple[str, str]]):
+        self.violations = list(violations)
+        details = "; ".join(f"{name} {rule}" for name, rule in self.violations)
+        super().__init__(f"invalid {owner}: {details}")
 
 
 class ConfigFileError(JmgtLabError):

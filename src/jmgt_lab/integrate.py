@@ -6,10 +6,10 @@ infinity, which the third-order system needs because tau multiplies its
 highest derivative.  Each step solves one n x n system for the highest stored
 derivative; the lower ones follow by back-substitution.  The stepping core
 takes arrays only: alpha at the grid times and quadrature nodes, and the loads.
-The step operator is built once per run: the time-invariant part of the step
-matrix once per BDF coefficient, and, when alpha does not change in time, the
-whole step matrix (two per run, startup and BDF2).  Otherwise each step adds
-only its mass term.
+The time-invariant part of the step matrix is built once per BDF coefficient;
+the mass and the step matrix are rebuilt only at a step whose row of alpha
+differs from the previous one, so a constant-alpha run builds one mass and two
+step matrices (startup and BDF2).
 """
 
 from __future__ import annotations
@@ -191,11 +191,11 @@ def _integrate(
 
     The step matrix is the gain-weighted sum of the coefficients.  Its elastic,
     damping and inertia terms depend only on c0 (1 at the startup step, 1.5
-    after it), so they are summed once per c0.  When every row of ``alpha``
-    equals row 0 the mass is assembled once and the whole step matrix is
-    built once per c0; otherwise each step adds its own mass term.  The
-    summation order is that of a per-step sum, so both paths give the same
-    bits.
+    after it), so they are summed once per c0.  The mass is assembled at the
+    first step and again only where ``alpha[m + 1]`` differs from ``alpha[m]``
+    (a NaN row always differs); the step matrix is rebuilt at those steps and
+    at the switch to c0 = 1.5.  The summation order is that of a per-step
+    sum, so reusing a matrix gives the same bits as rebuilding it.
     """
     n = basis.n
     steps = config.n_steps
@@ -225,16 +225,8 @@ def _integrate(
         inertia_term = gains[3] * inertia if order == 3 else None
         plans.append((s, gains, fixed, inertia_term))
 
-    def step_matrix(plan, mass):
-        _, gains, fixed, inertia_term = plan
-        matrix = fixed + gains[2] * mass
-        return matrix if inertia_term is None else matrix + inertia_term
-
-    # NaN never equals itself, so a NaN field takes the per-step path
-    constant = bool(np.all(alpha == alpha[0]))
-    if constant:
-        mass = masses.matrix(0) + acc_extra
-        matrices = [step_matrix(plan, mass) for plan in plans]
+    # row m of alpha differs from row m - 1; NaN differs from itself
+    changed = np.any(alpha[2:] != alpha[1:-1], axis=1)
 
     # derivs[j] is the j-th time derivative; derivs[order] is the BDF difference
     derivs = np.zeros((order + 1, steps + 1, n))
@@ -245,13 +237,13 @@ def _integrate(
             hist = derivs[:order, 0]
         else:
             hist = 2.0 * derivs[:order, m] - 0.5 * derivs[:order, m - 1]
-        plan = plans[min(m, 1)]
-        s, gains = plan[:2]
-        if constant:
-            matrix = matrices[min(m, 1)]
-        else:
+        s, gains, fixed, inertia_term = plans[min(m, 1)]
+        if m == 0 or changed[m - 1]:
             mass = masses.matrix(m + 1) + acc_extra
-            matrix = step_matrix(plan, mass)
+        if m < 2 or changed[m - 1]:
+            matrix = fixed + gains[2] * mass
+            if inertia_term is not None:
+                matrix = matrix + inertia_term
         coefficients = (elastic, damping, mass, inertia)[: order + 1]
         shifts = np.zeros((order + 1, n))
         shifts[order] = -hist[order - 1] / dt

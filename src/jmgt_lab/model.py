@@ -1,17 +1,20 @@
 """Physical parameters, boundary-signal family, and solver configuration.
 
-All types here are immutable and safe to share across concurrent runs.
+All types here are immutable and safe to share across concurrent runs.  The
+dataclasses are the only home of their fields' rules and defaults: each
+checks every field on construction and raises InvalidParameters (a
+ValueError) naming every field that breaks its rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .exceptions import UnsupportedOrderError
+from .exceptions import InvalidParameters, UnsupportedOrderError
 
 __all__ = [
     "BoundaryKind",
@@ -26,6 +29,32 @@ __all__ = [
 #: Highest time-derivative order of the boundary signal used anywhere in the
 #: energy audits (the mixed-boundary bundle needs the fourth derivative).
 MAX_SIGNAL_ORDER = 4
+
+
+def _check_fields(obj, rules: list[tuple[str, bool, str]]) -> None:
+    """Raise InvalidParameters naming every field of ``obj`` that breaks a rule.
+
+    Every field annotated ``float`` must be finite.  ``rules`` are
+    ``(field, holds, rule)`` triples.  A field is reported once, with the first
+    rule it breaks (finiteness first), in the order the fields are declared.
+    """
+    failed = {
+        item.name: "must be finite"
+        for item in fields(obj)
+        if item.type == "float" and not math.isfinite(getattr(obj, item.name))
+    }
+    for name, holds, rule in rules:
+        if not holds:
+            failed.setdefault(name, rule)
+    if failed:
+        raise InvalidParameters(
+            type(obj).__name__,
+            [
+                (item.name, f"{failed[item.name]}, got {getattr(obj, item.name)}")
+                for item in fields(obj)
+                if item.name in failed
+            ],
+        )
 
 
 class BoundaryKind(Enum):
@@ -56,14 +85,15 @@ class ModelParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not self.c2 > 0.0:
-            raise ValueError(f"c2 must be positive, got {self.c2}")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not self.tau >= 0.0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        _check_fields(
+            self,
+            [
+                ("c2", self.c2 > 0.0, "must be positive"),
+                ("delta", self.delta > 0.0, "must be positive"),
+                ("tau", self.tau >= 0.0, "must be nonnegative"),
+                ("beta", self.beta >= 0.0, "must be nonnegative"),
+            ],
+        )
 
     @property
     def b(self) -> float:
@@ -87,10 +117,14 @@ class WindowedSignal:
     decay_rate: float = 0.0
 
     def __post_init__(self):
-        if int(self.onset_power) != self.onset_power or self.onset_power < 0:
-            raise ValueError(f"onset_power must be a nonnegative integer, got {self.onset_power}")
-        if self.decay_rate < 0.0:
-            raise ValueError(f"decay_rate must be nonnegative, got {self.decay_rate}")
+        whole = float(self.onset_power).is_integer() and self.onset_power >= 0
+        _check_fields(
+            self,
+            [
+                ("onset_power", whole, "must be a nonnegative integer"),
+                ("decay_rate", self.decay_rate >= 0.0, "must be nonnegative"),
+            ],
+        )
 
 
 def signal_eval(sig: WindowedSignal, t, order: int = 0):
@@ -146,6 +180,7 @@ def validate_compatibility(sig: WindowedSignal, required_order: int) -> list[int
 class SolverConfig:
     """Discretization and fixed-point settings shared by all solvers.
 
+    ``dt``, ``t_final`` and ``picard_tol`` are finite and positive, and
     ``dt`` must divide ``t_final`` (to a relative 1e-9), so the grid ends
     exactly at the horizon.  ``quad_points`` and ``eval_grid`` may be
     omitted; they then default to 4 * n_modes quadrature nodes and
@@ -163,31 +198,30 @@ class SolverConfig:
     eval_grid: int | None = None
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_final > 0.0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
-        if not self.dt < self.t_final:
-            raise ValueError(f"dt = {self.dt} must be smaller than t_final = {self.t_final}")
-        ratio = self.t_final / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 * ratio:
-            raise ValueError(f"dt = {self.dt} must divide t_final = {self.t_final}")
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be at least 1, got {self.n_modes}")
+        # the rules that compare dt with t_final wait until t_final passes its own
+        below = not self.t_final > 0.0 or self.dt < self.t_final
+        ratio = self.t_final / self.dt if 0.0 < self.dt < self.t_final < math.inf else 1.0
+        divides = math.isfinite(ratio) and not abs(ratio - round(ratio)) > 1e-9 * ratio
+        quad_min = 4 * self.n_modes
+        quad_ok = self.quad_points is None or self.quad_points >= quad_min
+        _check_fields(
+            self,
+            [
+                ("dt", self.dt > 0.0, "must be positive"),
+                ("dt", below, f"must be smaller than t_final = {self.t_final}"),
+                ("dt", divides, f"must divide t_final = {self.t_final}"),
+                ("t_final", self.t_final > 0.0, "must be positive"),
+                ("n_modes", self.n_modes >= 1, "must be at least 1"),
+                ("quad_points", quad_ok, f"must be at least 4 * n_modes = {quad_min}"),
+                ("picard_tol", self.picard_tol > 0.0, "must be positive"),
+                ("picard_max", self.picard_max >= 1, "must be at least 1"),
+                ("eval_grid", self.eval_grid is None or self.eval_grid >= 2, "must be at least 2"),
+            ],
+        )
         if self.quad_points is None:
-            object.__setattr__(self, "quad_points", 4 * self.n_modes)
-        elif self.quad_points < 4 * self.n_modes:
-            raise ValueError(
-                f"quad_points = {self.quad_points} must be >= 4 * n_modes = {4 * self.n_modes}"
-            )
-        if not self.picard_tol > 0.0:
-            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
-        if self.picard_max < 1:
-            raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
+            object.__setattr__(self, "quad_points", quad_min)
         if self.eval_grid is None:
             object.__setattr__(self, "eval_grid", 8 * self.n_modes)
-        elif self.eval_grid < 2:
-            raise ValueError(f"eval_grid must be at least 2, got {self.eval_grid}")
 
     @property
     def n_steps(self) -> int:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jmgt_lab import BoundaryKind, ConfigFileError, cli
+from jmgt_lab import BoundaryKind, ConfigFileError, SolverConfig, cli
 from jmgt_lab.cli import main, mms_study, limit_study, run
 from jmgt_lab.config import parse_config, parse_config_text
 
@@ -54,6 +54,11 @@ class TestParsing:
         assert config.solver.dt == 0.02
         assert config.solver.n_modes == 6
         assert config.solver.quad_points == 24  # default 4 * n_modes
+        # omitted keys take the SolverConfig defaults
+        defaults = SolverConfig(dt=0.02, t_final=0.5, n_modes=6)
+        assert config.solver.picard_tol == defaults.picard_tol
+        assert config.solver.picard_max == defaults.picard_max
+        assert config.solver.eval_grid == defaults.eval_grid
         assert config.length == math.pi
         assert config.bc is BoundaryKind.PURE_NEUMANN
         assert config.warnings == []
@@ -136,7 +141,31 @@ class TestParsing:
     def test_step_that_does_not_divide_horizon_rejected(self):
         with pytest.raises(ConfigFileError) as info:
             parse_config_text(config_with(dt=0.3, t_final=1.0, n_modes=4))
-        assert any("divide" in message for message in info.value.errors)
+        (message,) = info.value.errors
+        assert message.startswith("line 15: dt must divide t_final")
+
+    def test_step_error_reported_with_the_other_errors(self):
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(config_with(c2=-1, dt=0.3, t_final=1.0))
+        assert len(info.value.errors) == 2
+        assert info.value.errors[0].startswith("line 2: c2 must be positive")
+        assert info.value.errors[1].startswith("line 15: dt must divide t_final")
+
+    def test_every_section_reports_its_errors_with_their_lines(self):
+        text = config_with(
+            delta=0, beta=-1, decay_rate=-2, n_modes=0, bc="robin", mms_levels=1
+        )
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(text)
+        prefixes = [message.split(" must")[0] for message in info.value.errors]
+        assert sorted(prefixes) == sorted([
+            "line 3: delta",
+            "line 6: beta",
+            "line 12: decay_rate",
+            "line 17: n_modes",
+            "line 21: bc",
+            "line 22: mms_levels",
+        ])
 
     @pytest.mark.parametrize("variant", ["relaxed", "westervelt", "bogus"])
     def test_variant_other_than_full_rejected(self, variant):
@@ -360,7 +389,7 @@ class TestMain:
         path.write_text(config_with(dt=0.3, t_final=1.0, n_modes=4), encoding="utf-8")
         code = main(["solve-linear", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "divide" in capsys.readouterr().err
+        assert "config error: line 15: dt must divide t_final" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_main_rejects_variant_the_subcommand_would_ignore(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jmgt_lab import (
+    InvalidParameters,
     ModelParams,
     SolverConfig,
     UnsupportedOrderError,
@@ -58,6 +59,12 @@ class TestParamValidation:
             dict(c2=1.0, delta=1.0, tau=0.1, beta=-1.0),
             dict(c2=1.0, delta=1.0, tau=float("nan")),
             dict(c2=1.0, delta=1.0, tau=0.1, beta=float("nan")),
+            dict(c2=1.0, delta=1.0, tau=0.1, k=float("nan")),
+            dict(c2=1.0, delta=1.0, tau=0.1, k=float("-inf")),
+            dict(c2=float("inf"), delta=1.0, tau=0.1),
+            dict(c2=1.0, delta=float("inf"), tau=0.1),
+            dict(c2=1.0, delta=1.0, tau=float("inf")),
+            dict(c2=1.0, delta=1.0, tau=0.1, beta=float("inf")),
         ],
     )
     def test_invalid_coefficients_rejected(self, kwargs):
@@ -81,11 +88,46 @@ class TestParamValidation:
             dict(dt=0.01, t_final=1.0, n_modes=4, picard_max=0),
             # the degeneracy grid samples both interval ends
             dict(dt=0.01, t_final=1.0, n_modes=4, eval_grid=1),
+            dict(dt=0.01, t_final=float("inf"), n_modes=4),
+            dict(dt=0.01, t_final=float("nan"), n_modes=4),
+            dict(dt=float("nan"), t_final=1.0, n_modes=4),
+            dict(dt=float("inf"), t_final=1.0, n_modes=4),
+            dict(dt=0.01, t_final=1.0, n_modes=4, picard_tol=float("inf")),
+            dict(dt=0.01, t_final=1.0, n_modes=4, picard_tol=float("nan")),
         ],
     )
     def test_invalid_solver_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(amplitude=float("nan"), frequency=1.0),
+            dict(amplitude=1.0, frequency=float("inf")),
+            dict(amplitude=1.0, frequency=1.0, decay_rate=float("nan")),
+            dict(amplitude=1.0, frequency=1.0, decay_rate=float("inf")),
+            dict(amplitude=1.0, frequency=1.0, decay_rate=-0.5),
+            dict(amplitude=1.0, frequency=1.0, onset_power=-1),
+            dict(amplitude=1.0, frequency=1.0, onset_power=5.5),
+            dict(amplitude=1.0, frequency=1.0, onset_power=float("inf")),
+        ],
+    )
+    def test_invalid_signal_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            WindowedSignal(**kwargs)
+
+    def test_every_bad_field_is_listed(self):
+        with pytest.raises(InvalidParameters) as info:
+            SolverConfig(dt=-0.1, t_final=float("inf"), n_modes=0, picard_max=0, eval_grid=1)
+        assert [name for name, _ in info.value.violations] == [
+            "dt", "t_final", "n_modes", "picard_max", "eval_grid"
+        ]
+        assert dict(info.value.violations)["t_final"] == "must be finite, got inf"
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(InvalidParameters) as info:
+            ModelParams(c2=0.0, delta=float("nan"), tau=-1.0, k=float("inf"), beta=-2.0)
+        assert [name for name, _ in info.value.violations] == ["c2", "delta", "tau", "k", "beta"]
 
     @pytest.mark.parametrize("dt", [0.3, 0.15, 0.0099])
     def test_step_that_does_not_divide_horizon_rejected(self, dt):

@@ -2,16 +2,22 @@
 
 The ``ini`` block is the documented reference config, and the ``python``
 block is the library entry-point example; both must keep up with the API.
+The command line is run on the ``ini`` block as a separate process, the way
+a user runs it.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from jmgt_lab import BoundaryKind
 from jmgt_lab.config import parse_config_text
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def fenced_block(language: str) -> str:
@@ -35,3 +41,35 @@ def test_python_block_runs(capsys):
     picard_line, ratio_line = capsys.readouterr().out.strip().split("\n")
     assert int(picard_line.split()[0]) > 1
     assert 0.0 < float(ratio_line) < math.inf
+
+
+def run_module(config_text: str, tmp_path: Path) -> tuple[subprocess.CompletedProcess, Path]:
+    """Run ``python -m jmgt_lab.cli solve-linear`` on the config text."""
+    path = tmp_path / "experiment.cfg"
+    path.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "out"
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    command = [sys.executable, "-m", "jmgt_lab.cli", "solve-linear"]
+    command += ["--config", str(path), "--out", str(out), "--quiet"]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    return result, out
+
+
+def test_module_entry_point_runs_the_ini_block(tmp_path):
+    result, out = run_module(fenced_block("ini"), tmp_path)
+    assert result.returncode == 0, result.stderr
+    written = sorted(path.name for path in out.iterdir())
+    assert written == ["energy.csv", "report.csv", "trajectory.csv"]
+
+
+def test_module_entry_point_reports_every_bad_key(tmp_path):
+    text = fenced_block("ini").replace("c2 = 1.0", "c2 = -1.0").replace("dt = 0.01", "dt = 0.03")
+    result, out = run_module(text, tmp_path)
+    assert result.returncode == 1
+    errors = [line for line in result.stderr.splitlines() if line.startswith("config error: line")]
+    assert [line.split(" must")[0] for line in errors] == [
+        "config error: line 2: c2",
+        "config error: line 15: dt",
+    ]
+    assert not out.exists()

@@ -74,7 +74,6 @@ from .model import (
 from .nonlinear import (
     NonlinearVariant,
     PicardReport,
-    degeneracy_check,
     solve_jmgt,
     solve_westervelt_nonlinear,
     trajectory_distance,

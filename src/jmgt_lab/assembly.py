@@ -8,6 +8,7 @@ quadrature nodes; loads are assembled for a whole time grid at once.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -113,9 +114,13 @@ def sample_field(field: CoefficientField, x: np.ndarray, times) -> np.ndarray:
 
 
 def _weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Symmetrized quadrature Gram matrix sum_q rows[i, q] weights[q] rows[j, q]."""
-    matrix = np.einsum("iq,q,jq->ij", rows, weights, rows)
-    return 0.5 * (matrix + matrix.T)
+    """Symmetrized quadrature Gram matrix sum_q rows[i, q] weights[..., q] rows[j, q].
+
+    Leading axes of ``weights`` are member axes; each member's matrix has the
+    bits of its own two-dimensional einsum.
+    """
+    matrix = np.einsum("iq,...q,jq->...ij", rows, weights, rows)
+    return 0.5 * (matrix + matrix.swapaxes(-1, -2))
 
 
 def assemble_stiffness(basis: SpectralBasis, quad: QuadratureRule) -> np.ndarray:
@@ -144,22 +149,71 @@ def assemble_boundary(basis: SpectralBasis, end: End) -> np.ndarray:
 
 
 class TimeVaryingMass:
-    """Mass matrices M(t_m) of one run from its sampled coefficient.
+    """Mass matrices M(t_m) of one run, or of a batch of runs, from their sampled coefficient.
 
-    ``alpha[m]`` holds alpha(., t_m) at the quadrature nodes; ``matrix(m)``
-    and ``alpha_values(m)`` index by step.
+    ``alpha[..., m, :]`` holds alpha(., t_m) at the quadrature nodes, behind an
+    optional leading member axis; ``matrix(m)`` and ``alpha_values(m)`` index
+    by step.  Without a member axis every member shares the one coefficient.
     """
 
     def __init__(self, basis: SpectralBasis, quad: QuadratureRule, alpha: np.ndarray):
         self.quad = quad
         self._modes = mode_matrix(basis, quad.nodes)
-        self._alpha = alpha
+        # the per-step rows alpha is read from; _FrozenMass keeps psi_t coefficients here
+        self._rows = alpha
 
     def alpha_values(self, m: int) -> np.ndarray:
-        return self._alpha[m]
+        return self._rows[..., m, :]
 
     def matrix(self, m: int) -> np.ndarray:
         return _weighted_gram(self._modes, self.quad.weights * self.alpha_values(m))
+
+    def changed_rows(self) -> np.ndarray:
+        """Entry m - 2 tells whether row m (m >= 2) differs from row m - 1 in some member.
+
+        A NaN differs from itself.
+        """
+        differs = self._rows[..., 2:, :] != self._rows[..., 1:-1, :]
+        return np.any(differs, axis=(*range(differs.ndim - 2), -1))
+
+    def head(self, count: int) -> "TimeVaryingMass":
+        """The masses of the first ``count`` members."""
+        head = copy.copy(self)
+        if self._rows.ndim == 3:
+            head._rows = self._rows[:count]
+        return head
+
+
+class _FrozenMass(TimeVaryingMass):
+    """Masses of a batch of Picard iterates, alpha frozen at the previous iterates.
+
+    ``velocity[b, m]`` holds the psi_t coefficients of member b's previous
+    iterate at grid time m, and ``k[b, 0]`` its nonlinearity; alpha is
+    clamp_h(psi_t, k) or 1 - 2k*psi_t (``_frozen_coefficient``).  Each step's
+    rows are formed when asked for, so no alpha grid is stored, and a row
+    counts as changed wherever psi_t changes.
+    """
+
+    def __init__(
+        self,
+        basis: SpectralBasis,
+        quad: QuadratureRule,
+        velocity: np.ndarray,
+        k: np.ndarray,
+        clamped: bool,
+    ):
+        super().__init__(basis, quad, velocity)
+        self._k = k
+        self._clamped = clamped
+
+    def alpha_values(self, m: int) -> np.ndarray:
+        velocity = (self._rows[:, m, None, :] @ self._modes)[:, 0]
+        return _frozen_coefficient(velocity, self._k, self._clamped)
+
+    def head(self, count: int) -> "_FrozenMass":
+        head = super().head(count)
+        head._k = self._k[:count]
+        return head
 
 
 def assemble_loads(

@@ -3,8 +3,9 @@
 Every run writes CSV artifacts into the output directory: ``trajectory.csv``
 (coefficient series), ``energy.csv`` (energy records) and ``report.csv``
 (run-specific summary table).  Exit codes: 0 success, 1 config error,
-2 solver failure.  Outputs are byte-deterministic for a fixed config; sweep
-members are solved in sweep order.
+2 solver failure.  Outputs are byte-deterministic for a fixed config.  The
+members of a sweep are stepped together, and their failures and warnings are
+reported as if they were solved one after another in sweep order.
 """
 
 from __future__ import annotations
@@ -34,8 +35,14 @@ from .energy import (
     energy_lower,
 )
 from .exceptions import ConfigFileError, NonDegeneracyViolated, SolverFailure
-from .integrate import Trajectory, solve_smgt_linear, solve_westervelt_linearized
-from .nonlinear import NonlinearVariant, PicardReport, solve_jmgt, solve_westervelt_nonlinear
+from .integrate import Trajectory, _solve_linear, solve_smgt_linear, solve_westervelt_linearized
+from .nonlinear import (
+    NonlinearVariant,
+    PicardReport,
+    _solve_jmgt_batch,
+    solve_jmgt,
+    solve_westervelt_nonlinear,
+)
 
 __all__ = ["main", "run", "limit_study", "mms_study", "LimitRow", "LimitStudyResult", "MmsRow"]
 
@@ -144,9 +151,10 @@ def limit_study(config: ExperimentConfig) -> tuple[LimitStudyResult, Trajectory]
     """Compare third-order solutions against the second-order limit.
 
     Solves the nonlinear second-order reference once, then one third-order
-    run per sweep entry with the damping coefficient recomputed from tau.
-    All runs share the basis, grid, and fixed-point tolerances.  A failing
-    member aborts the study with that run's diagnosis.
+    run per sweep entry with the damping coefficient recomputed from tau; the
+    sweep members iterate in lockstep.  All runs share the basis, grid, and
+    fixed-point tolerances.  A failing member aborts the study with that run's
+    diagnosis, the first failing member in sweep order.
     """
     if config.tau_sweep is None:
         raise ConfigFileError(["limit-study requires a tau_sweep entry in [experiment]"])
@@ -154,10 +162,12 @@ def limit_study(config: ExperimentConfig) -> tuple[LimitStudyResult, Trajectory]
     reference, ref_report = solve_westervelt_nonlinear(
         config.params, basis, None, config.signal, config.solver, config.bc
     )
+    members = [replace(config.params, tau=tau) for tau in config.tau_sweep]
+    runs = _solve_jmgt_batch(
+        members, basis, None, config.signal, config.solver, config.bc, NonlinearVariant.FULL_JMGT
+    )
     rows: list[LimitRow] = []
-    for tau in config.tau_sweep:
-        params_tau = replace(config.params, tau=tau)
-        traj, report = solve_jmgt(params_tau, basis, None, config.signal, config.solver, config.bc)
+    for tau, (traj, report) in zip(config.tau_sweep, runs):
         # the error is measured in the tau = 0 (Westervelt) higher energy
         diff = reference - traj
         velocity_error = float(np.sqrt((diff.coeff_t**2).sum(axis=1)).max())
@@ -289,15 +299,18 @@ def _single_run(
 def _energy_audit(
     config: ExperimentConfig, basis: SpectralBasis, taus: tuple[float, ...]
 ) -> tuple[Trajectory, Energies, list[list]]:
-    """Audit table over ``taus``; returns the first run and its energies for the artifacts."""
+    """Audit table over ``taus``; returns the first run and its energies for the artifacts.
+
+    The runs are one linear batch, stepped together.
+    """
     bundle = data_norms(config.signal, config.solver)
+    members = [replace(config.params, tau=tau) for tau in taus]
+    runs = _solve_linear(
+        3, members, basis, constant_field(1.0), None, config.signal, config.solver, config.bc
+    )
     first: tuple[Trajectory, Energies] | None = None
     table = []
-    for tau in taus:
-        params_tau = replace(config.params, tau=tau)
-        traj = solve_smgt_linear(
-            params_tau, basis, constant_field(1.0), None, config.signal, config.solver, config.bc
-        )
+    for tau, traj in zip(taus, runs):
         energies = _energies(traj, basis)
         if first is None:
             first = traj, energies

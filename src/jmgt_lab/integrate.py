@@ -5,11 +5,12 @@ implicit-Euler startup step.  The pair is A-stable and strongly damping at
 infinity, which the third-order system needs because tau multiplies its
 highest derivative.  Each step solves one n x n system for the highest stored
 derivative; the lower ones follow by back-substitution.  The stepping core
-takes arrays only: alpha at the grid times and quadrature nodes, and the loads.
-The time-invariant part of the step matrix is built once per BDF coefficient;
-the mass and the step matrix are rebuilt only at a step whose row of alpha
-differs from the previous one, so a constant-alpha run builds one mass and two
-step matrices (startup and BDF2).
+takes a batch of members that share basis, quadrature and time grid, with
+their masses and loads, and makes one stacked solve per step; a single run is
+a batch of one.  The time-invariant part of the step matrix is built once per
+BDF coefficient; the mass and the step matrix are rebuilt only at a step whose
+row of alpha differs from the previous one, so a constant-alpha run builds one
+mass and two step matrices (startup and BDF2).
 """
 
 from __future__ import annotations
@@ -139,21 +140,27 @@ def recover_third(
 
 
 def _prepare_data(
-    params: ModelParams,
+    members: list[ModelParams],
     basis: SpectralBasis,
     f: SpaceTimeFn | None,
     g: WindowedSignal | None,
     config: SolverConfig,
     bc: BoundaryKind,
 ) -> tuple[QuadratureRule, np.ndarray]:
-    """Check the signal, then build the run's quadrature and its loads at every grid time."""
+    """Check the signal, then build the run's quadrature and each member's loads.
+
+    ``loads[b, m]`` is the load of ``members[b]`` at grid time m.
+    """
     if g is not None:
         required = 4 if bc is BoundaryKind.MIXED else 3
         violations = validate_compatibility(g, required)
         if violations:
             raise CompatibilityError(violations, required)
     quad = build_quadrature(basis.length, config.quad_points)
-    return quad, assemble_loads(basis, quad, f, g, params, config.times, bc)
+    loads = np.empty((len(members), config.n_steps + 1, basis.n))
+    for member, params in enumerate(members):
+        loads[member] = assemble_loads(basis, quad, f, g, params, config.times, bc)
+    return quad, loads
 
 
 def _solve_step(matrix: np.ndarray, rhs: np.ndarray, step: int, time: float) -> np.ndarray:
@@ -168,52 +175,68 @@ def _solve_step(matrix: np.ndarray, rhs: np.ndarray, step: int, time: float) -> 
 
 def _integrate(
     order: int,
-    params: ModelParams,
+    members: list[ModelParams],
     basis: SpectralBasis,
     quad: QuadratureRule,
-    alpha: np.ndarray,
+    masses: TimeVaryingMass,
     loads: np.ndarray,
     config: SolverConfig,
     bc: BoundaryKind,
-) -> Trajectory:
+) -> tuple[list[Trajectory], SingularStepMatrixError | None]:
     """BDF2 core of both solvers; ``order`` is the system's order in time (3 or 2).
 
-    ``alpha[m]`` (at the nodes of ``quad``) and ``loads[m]`` belong to grid time m.
+    The members of a batch share basis, quadrature, time grid and boundary
+    kind, and are stepped together.  Member b has parameters ``members[b]``,
+    its masses in ``masses`` (member axis first) and its load ``loads[b, m]``
+    at grid time m.  Each step makes one stacked solve.  Every number of a
+    member has the bits of a lone run of it, and B = 1 is the single run.
+    The trajectories returned are views of one derivative stack of shape
+    ``[order + 1, B, steps + 1, n]``.
 
     The stored derivatives are xi and its first ``order - 1`` time
     derivatives, and the highest of them is the unknown of each step.  With
     s = c0/dt, BDF2 makes each lower derivative j an affine function of it,
     s**-(order - 1 - j) * top + shift_j, and the derivative above it the BDF
     difference s*top - h/dt.  Inserting these into the momentum balance
-    leaves one n x n system per step.  For order 3 the top is xi'' and xi'''
-    is its BDF difference; for order 2 (params at tau = 0, so b = delta) the
-    top is xi' and xi'' is its BDF difference.
+    leaves one n x n system per step and member.  For order 3 the top is
+    xi'' and xi''' is its BDF difference; for order 2 (params at tau = 0, so
+    b = delta) the top is xi' and xi'' is its BDF difference.
 
     The step matrix is the gain-weighted sum of the coefficients.  Its elastic,
     damping and inertia terms depend only on c0 (1 at the startup step, 1.5
     after it), so they are summed once per c0.  The mass is assembled at the
-    first step and again only where ``alpha[m + 1]`` differs from ``alpha[m]``
-    (a NaN row always differs); the step matrix is rebuilt at those steps and
-    at the switch to c0 = 1.5.  The summation order is that of a per-step
-    sum, so reusing a matrix gives the same bits as rebuilding it.
+    first step and again only at a step whose row of alpha changes
+    (``masses.changed_rows()``), where only the mass slot of the coefficient
+    stack is rewritten; the step matrix is rebuilt at those steps and at the
+    switch to c0 = 1.5.  The summation order is that of a per-step sum, so
+    reusing a matrix gives the same bits as rebuilding it.
+
+    Returns the trajectories and None, or, when a member's step solve fails,
+    the trajectories of the members before it and its
+    SingularStepMatrixError, as if the members ran one after another: the
+    members after it are dropped, the ones before it run to the end, and a
+    failure among them takes precedence.
     """
     n = basis.n
     steps = config.n_steps
     dt = config.dt
     times = config.times
+    count = len(members)
 
     stiffness = assemble_stiffness(basis, quad)
-    masses = TimeVaryingMass(basis, quad, alpha)
     boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
 
-    # momentum-balance coefficients of xi, xi', xi'' (M(t) + acc_extra) and xi'''
-    elastic = params.c2 * stiffness
-    damping = params.b * stiffness
-    acc_extra = np.zeros((n, n))
-    if boundary is not None:
-        damping = damping + params.c2 * params.beta * boundary
-        acc_extra = params.b * params.beta * boundary
-    inertia = params.tau * np.eye(n)
+    # momentum-balance coefficients of xi, xi', xi'' (M(t) + acc_extra) and xi''', per member
+    coefficients = np.zeros((order + 1, count, n, n))
+    acc_extra = np.zeros((count, n, n))
+    for member, params in enumerate(members):
+        coefficients[0, member] = params.c2 * stiffness
+        coefficients[1, member] = params.b * stiffness
+        if boundary is not None:
+            coefficients[1, member] += params.c2 * params.beta * boundary
+            acc_extra[member] = params.b * params.beta * boundary
+        if order == 3:
+            coefficients[3, member] = params.tau * np.eye(n)
 
     # per BDF coefficient c0 (startup, then BDF2): s, the gains of the coefficients
     # (derivative j = gains[j] * top + shifts[j]) and the step-matrix terms without mass
@@ -221,49 +244,90 @@ def _integrate(
     for c0 in (1.0, 1.5):
         s = c0 / dt
         gains = s ** np.arange(1.0 - order, 2.0)
-        fixed = sum(gain * coefficient for gain, coefficient in zip(gains, (elastic, damping)))
-        inertia_term = gains[3] * inertia if order == 3 else None
-        plans.append((s, gains, fixed, inertia_term))
+        fixed = sum(gain * coefficient for gain, coefficient in zip(gains, coefficients[:2]))
+        inertia_term = gains[3] * coefficients[3] if order == 3 else None
+        plans.append((s, gains[:, None, None], fixed, inertia_term))
 
-    # row m of alpha differs from row m - 1; NaN differs from itself
-    changed = np.any(alpha[2:] != alpha[1:-1], axis=1)
+    changed = masses.changed_rows()
 
-    # derivs[j] is the j-th time derivative; derivs[order] is the BDF difference
-    derivs = np.zeros((order + 1, steps + 1, n))
+    # derivs[j, b] is member b's j-th time derivative; derivs[order] is the BDF difference
+    derivs = np.zeros((order + 1, count, steps + 1, n))
     if order == 3:
-        derivs[3, 0] = loads[0] / params.tau
+        derivs[3, :, 0] = loads[:, 0] / np.array([[params.tau] for params in members])
     for m in range(steps):
         if m == 0:
-            hist = derivs[:order, 0]
+            hist = derivs[:order, :, 0]
         else:
-            hist = 2.0 * derivs[:order, m] - 0.5 * derivs[:order, m - 1]
+            hist = 2.0 * derivs[:order, :, m] - 0.5 * derivs[:order, :, m - 1]
         s, gains, fixed, inertia_term = plans[min(m, 1)]
         if m == 0 or changed[m - 1]:
-            mass = masses.matrix(m + 1) + acc_extra
+            np.add(masses.matrix(m + 1), acc_extra, out=coefficients[2])
         if m < 2 or changed[m - 1]:
-            matrix = fixed + gains[2] * mass
+            matrix = fixed + gains[2] * coefficients[2]
             if inertia_term is not None:
                 matrix = matrix + inertia_term
-        coefficients = (elastic, damping, mass, inertia)[: order + 1]
-        shifts = np.zeros((order + 1, n))
+        shifts = np.zeros((order + 1, count, n))
         shifts[order] = -hist[order - 1] / dt
         for j in range(order - 2, -1, -1):
             shifts[j] = (shifts[j + 1] + hist[j] / dt) / s
-        rhs = loads[m + 1] - sum(
-            coefficient @ shift for coefficient, shift in zip(coefficients, shifts)
-        )
-        top = _solve_step(matrix, rhs, m + 1, times[m + 1])
-        derivs[:, m + 1] = gains[:, None] * top + shifts
+        rhs = loads[:, m + 1, :, None] - (coefficients @ shifts[..., None]).sum(axis=0)
+        try:
+            top = _solve_step(matrix, rhs, m + 1, times[m + 1])
+        except SingularStepMatrixError:
+            for member in range(count):
+                try:
+                    _solve_step(matrix[member], rhs[member], m + 1, times[m + 1])
+                except SingularStepMatrixError as failure:
+                    if member == 0:
+                        return [], failure
+                    survivors, earlier = _integrate(
+                        order, members[:member], basis, quad, masses.head(member),
+                        loads[:member], config, bc,
+                    )
+                    return survivors, failure if earlier is None else earlier
+            raise
+        derivs[:, :, m + 1] = gains * top[:, :, 0] + shifts
 
-    return Trajectory(
-        times=times,
-        coeff=derivs[0],
-        coeff_t=derivs[1],
-        coeff_tt=derivs[2],
-        coeff_ttt=derivs[3] if order == 3 else None,
-        bc=bc,
-        params=params,
-    )
+    trajectories = [
+        Trajectory(
+            times=times,
+            coeff=derivs[0, member],
+            coeff_t=derivs[1, member],
+            coeff_tt=derivs[2, member],
+            coeff_ttt=derivs[3, member] if order == 3 else None,
+            bc=bc,
+            params=params,
+        )
+        for member, params in enumerate(members)
+    ]
+    return trajectories, None
+
+
+def _solve_linear(
+    order: int,
+    members: list[ModelParams],
+    basis: SpectralBasis,
+    field: CoefficientField,
+    f: SpaceTimeFn | None,
+    g: WindowedSignal | None,
+    config: SolverConfig,
+    bc: BoundaryKind,
+) -> list[Trajectory]:
+    """Linear runs of a batch of members under one coefficient field, stepped together.
+
+    Raises what the first failing member raises when the members are solved
+    one after another.
+    """
+    if order == 3:
+        for params in members:
+            if params.tau <= 0.0:
+                raise ValueError(f"the third-order solver requires tau > 0, got {params.tau}")
+    quad, loads = _prepare_data(members, basis, f, g, config, bc)
+    masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, config.times))
+    trajectories, failure = _integrate(order, members, basis, quad, masses, loads, config, bc)
+    if failure is not None:
+        raise failure
+    return trajectories
 
 
 def solve_smgt_linear(
@@ -284,11 +348,7 @@ def solve_smgt_linear(
     with B = 0 under pure Neumann conditions.  Every step solves one dense
     linear system of size n for xi''.
     """
-    if params.tau <= 0.0:
-        raise ValueError(f"the third-order solver requires tau > 0, got {params.tau}")
-    quad, loads = _prepare_data(params, basis, f, g, config, bc)
-    alpha = sample_field(field, quad.nodes, config.times)
-    return _integrate(3, params, basis, quad, alpha, loads, config, bc)
+    return _solve_linear(3, [params], basis, field, f, g, config, bc)[0]
 
 
 def solve_westervelt_linearized(
@@ -307,7 +367,4 @@ def solve_westervelt_linearized(
     tau = 0 so that downstream energy weights are consistent.  Every step
     solves one dense linear system of size n for xi'.
     """
-    params = replace(params, tau=0.0)
-    quad, loads = _prepare_data(params, basis, f, g, config, bc)
-    alpha = sample_field(field, quad.nodes, config.times)
-    return _integrate(2, params, basis, quad, alpha, loads, config, bc)
+    return _solve_linear(2, [replace(params, tau=0.0)], basis, field, f, g, config, bc)[0]

@@ -9,6 +9,7 @@ ValueError) naming every field that breaks its rule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -55,6 +56,11 @@ def _check_fields(obj, rules: list[tuple[str, bool, str]]) -> None:
                 if item.name in failed
             ],
         )
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer; a bool is not an integer here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class BoundaryKind(Enum):
@@ -202,8 +208,19 @@ class SolverConfig:
         below = not self.t_final > 0.0 or self.dt < self.t_final
         ratio = self.t_final / self.dt if 0.0 < self.dt < self.t_final < math.inf else 1.0
         divides = math.isfinite(ratio) and not abs(ratio - round(ratio)) > 1e-9 * ratio
-        quad_min = 4 * self.n_modes
-        quad_ok = self.quad_points is None or self.quad_points >= quad_min
+        # the count fields are integers (a bool is not one); their bounds are checked on
+        # integers only, and the quad_points bound waits until n_modes passes its rules
+        whole = {
+            "n_modes": _is_integer(self.n_modes),
+            "quad_points": self.quad_points is None or _is_integer(self.quad_points),
+            "picard_max": _is_integer(self.picard_max),
+            "eval_grid": self.eval_grid is None or _is_integer(self.eval_grid),
+        }
+        quad_min = 4 * self.n_modes if whole["n_modes"] else None
+        quad_ok = quad_min is None or self.quad_points is None or (
+            whole["quad_points"] and self.quad_points >= quad_min
+        )
+        eval_ok = self.eval_grid is None or (whole["eval_grid"] and self.eval_grid >= 2)
         _check_fields(
             self,
             [
@@ -211,11 +228,12 @@ class SolverConfig:
                 ("dt", below, f"must be smaller than t_final = {self.t_final}"),
                 ("dt", divides, f"must divide t_final = {self.t_final}"),
                 ("t_final", self.t_final > 0.0, "must be positive"),
-                ("n_modes", self.n_modes >= 1, "must be at least 1"),
+                *[(name, ok, "must be an integer") for name, ok in whole.items()],
+                ("n_modes", whole["n_modes"] and self.n_modes >= 1, "must be at least 1"),
                 ("quad_points", quad_ok, f"must be at least 4 * n_modes = {quad_min}"),
                 ("picard_tol", self.picard_tol > 0.0, "must be positive"),
-                ("picard_max", self.picard_max >= 1, "must be at least 1"),
-                ("eval_grid", self.eval_grid is None or self.eval_grid >= 2, "must be at least 2"),
+                ("picard_max", whole["picard_max"] and self.picard_max >= 1, "must be at least 1"),
+                ("eval_grid", eval_ok, "must be at least 2"),
             ],
         )
         if self.quad_points is None:

@@ -4,30 +4,33 @@ The nonlinearity is handled by whole-horizon successive substitution: freeze
 the coefficient 1 - 2k*psi_t (or its clamped relaxation) at the previous
 iterate, re-solve the linear problem on [0, T], and measure the difference in
 the energy norm in which the underlying map contracts for small data.  A run
-assembles its loads once; each iterate's alpha is built from its psi_t
-coefficients and the mode values at the quadrature nodes.
+assembles its loads once; each iterate's alpha is built step by step from the
+previous iterate's psi_t coefficients and the mode values at the quadrature
+nodes.  Runs that share basis, grid and drive (the tau-members of a sweep)
+iterate in lockstep: one batched step loop per round, with failures and
+warnings reported as if the members ran one after another.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .assembly import SpaceTimeFn, _frozen_coefficient
+from .assembly import SpaceTimeFn, TimeVaryingMass, _FrozenMass
 from .basis import SpectralBasis, mode_matrix
 from .energy import AuditMode, energy_lower
-from .exceptions import NonDegeneracyViolated, PicardDivergenceError
-from .integrate import Trajectory, _integrate, _prepare_data, zero_trajectory
+from .exceptions import NonDegeneracyViolated, PicardDivergenceError, SolverFailure
+from .integrate import Trajectory, _integrate, _prepare_data
 from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal
 
 __all__ = [
     "NonlinearVariant",
     "PicardReport",
     "trajectory_distance",
-    "degeneracy_check",
     "solve_jmgt",
     "solve_westervelt_nonlinear",
 ]
@@ -81,51 +84,79 @@ def trajectory_distance(a: Trajectory, b: Trajectory, basis: SpectralBasis) -> f
 def _margin_series(
     traj: Trajectory, basis: SpectralBasis, k: float, eval_grid: int
 ) -> np.ndarray:
-    """Per-step minimum over the spatial grid of 1 - 2k*psi_t."""
+    """Per-step minimum over the spatial grid of 1 - 2k*psi_t (one buffer, in place)."""
     points = np.linspace(0.0, basis.length, eval_grid)
-    velocity = traj.coeff_t @ mode_matrix(basis, points)
-    return (1.0 - 2.0 * k * velocity).min(axis=1)
-
-
-def degeneracy_check(
-    traj: Trajectory,
-    basis: SpectralBasis,
-    k: float,
-    eval_grid: int | None = None,
-) -> float:
-    """Minimum of the coefficient 1 - 2k*psi_t over the space-time grid.
-
-    Pure measurement; the abort policy for unclamped variants lives in the
-    fixed-point drivers.  The default spatial resolution of 8 points per mode
-    bounds the extremum of a band-limited cosine sum to well under 1%.
-    """
-    grid = eval_grid if eval_grid is not None else 8 * basis.n
-    if grid < 2:
-        raise ValueError(f"eval_grid must be at least 2, got {grid}")
-    return float(_margin_series(traj, basis, k, grid).min())
+    values = traj.coeff_t @ mode_matrix(basis, points)
+    values *= 2.0 * k
+    np.subtract(1.0, values, out=values)
+    return values.min(axis=1)
 
 
 def _guard_degeneracy(margins: np.ndarray, times: np.ndarray, iteration: int) -> None:
-    """Abort on the first step whose margin is not positive; warn below 0.1."""
+    """Abort on the first step whose margin is not positive."""
     margin = float(margins.min())
     if margin <= 0.0:
         first_bad = int(np.argmax(margins <= 0.0))
         raise NonDegeneracyViolated(margin, float(times[first_bad]), iteration)
-    if margin < 0.1:
-        warnings.warn(
-            f"degeneracy margin {margin:.3g} < 0.1; the model is close to degenerate",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 #: A run whose contraction factor exceeds 1 this many times in a row diverges.
 _GROWTH_LIMIT = 3
 
 
+@dataclass
+class _Member:
+    """Fixed-point state of one member of a lockstep batch."""
+
+    params: ModelParams
+    report: PicardReport = field(
+        default_factory=lambda: PicardReport(0, [], [], math.nan, [])
+    )
+    #: the latest iterate; the result once the member has converged
+    last: Trajectory | None = None
+    #: the guarded margins below 0.1, one per iterate, warned about once the batch ends
+    close_margins: list[float] = field(default_factory=list)
+
+
+def _advance(
+    state: _Member,
+    current: Trajectory,
+    iteration: int,
+    basis: SpectralBasis,
+    config: SolverConfig,
+    guarded: bool,
+) -> bool:
+    """Record a member's new iterate; True once the member has converged.
+
+    Raises the member's NonDegeneracyViolated or PicardDivergenceError.
+    """
+    report = state.report
+    margins = _margin_series(current, basis, state.params.k, config.eval_grid)
+    if guarded:
+        _guard_degeneracy(margins, current.times, iteration)
+    report.degeneracy_margin = float(margins.min())
+    if guarded and report.degeneracy_margin < 0.1:
+        state.close_margins.append(report.degeneracy_margin)
+    # the distance from the zero iterate; current - 0.0 is current, bit for bit
+    norm = float(np.sqrt(energy_lower(current, basis).total(AuditMode.TAU_UNIFORM)))
+    diff = norm if state.last is None else trajectory_distance(current, state.last, basis)
+    state.last = current
+    if report.differences:  # a previous difference is at least picard_tol > 0
+        report.factors.append(diff / report.differences[-1])
+    report.differences.append(diff)
+    report.iterate_norms.append(norm)
+    report.iterations = len(report.differences)
+    if diff < config.picard_tol:
+        return True
+    recent = report.factors[-_GROWTH_LIMIT:]
+    if len(recent) == _GROWTH_LIMIT and min(recent) > 1.0:
+        raise PicardDivergenceError(report.differences, config.picard_max)
+    return False
+
+
 def _picard_loop(
     order: int,
-    params: ModelParams,
+    members: list[ModelParams],
     basis: SpectralBasis,
     f: SpaceTimeFn | None,
     g: WindowedSignal | None,
@@ -133,41 +164,82 @@ def _picard_loop(
     bc: BoundaryKind,
     clamped: bool,
     guarded: bool,
-) -> tuple[Trajectory, PicardReport]:
-    quad, loads = _prepare_data(params, basis, f, g, config, bc)
-    modes = mode_matrix(basis, quad.nodes)
-    zero = previous = zero_trajectory(params, basis, config, bc, with_third=(order == 3))
-    alpha = np.ones((config.n_steps + 1, quad.count))
-    differences: list[float] = []
-    factors: list[float] = []
-    iterate_norms: list[float] = []
+) -> list[tuple[Trajectory, PicardReport]]:
+    """Fixed-point runs of a batch of members, stepped in lockstep.
+
+    Round r integrates iterate r of every member still iterating in one
+    ``_integrate`` call, so one stacked solve per step serves them all; a
+    member leaves the batch once it converges.  Each member's alpha is
+    formed step by step from its previous iterate's psi_t (``_FrozenMass``).
+    Results, failures and degeneracy warnings are those of running the
+    members one after another in ``members`` order: once a member fails, the
+    members after it stop and the ones before it run on, and the first
+    failing member's failure is raised after the warnings of the members up
+    to it.  A single run is a batch of one.
+    """
+    quad, loads = _prepare_data(members, basis, f, g, config, bc)
+    k = np.array([[params.k] for params in members])
+    states = [_Member(params) for params in members]
+    failures: dict[int, SolverFailure] = {}
+    active = list(range(len(members)))  # the members iterating this round, in order
+    masses = TimeVaryingMass(basis, quad, np.ones((config.n_steps + 1, quad.count)))
     for iteration in range(1, config.picard_max + 1):
-        current = _integrate(order, params, basis, quad, alpha, loads, config, bc)
-        margins = _margin_series(current, basis, params.k, config.eval_grid)
-        if guarded:
-            _guard_degeneracy(margins, current.times, iteration)
-        diff = trajectory_distance(current, previous, basis)
-        if differences:  # a previous difference is at least picard_tol > 0
-            factors.append(diff / differences[-1])
-        differences.append(diff)
-        iterate_norms.append(trajectory_distance(current, zero, basis))
-        if diff < config.picard_tol:
+        batch = loads if len(active) == len(members) else loads[active]
+        iterates, failure = _integrate(
+            order, [members[i] for i in active], basis, quad, masses, batch, config, bc
+        )
+        if failure is not None:
+            failures[active[len(iterates)]] = failure
+        going = []  # positions in this round of the members that iterate on
+        for position, (member, current) in enumerate(zip(active, iterates)):
+            try:
+                if not _advance(states[member], current, iteration, basis, config, guarded):
+                    going.append(position)
+            except SolverFailure as exc:
+                failures[member] = exc
+        first_failure = min(failures, default=len(members))
+        going = [position for position in going if active[position] < first_failure]
+        if not going:
             break
-        recent = factors[-_GROWTH_LIMIT:]
-        if len(recent) == _GROWTH_LIMIT and min(recent) > 1.0:
-            raise PicardDivergenceError(differences, config.picard_max)
-        for m, row in enumerate(current.coeff_t):  # the solve no longer reads alpha
-            alpha[m] = _frozen_coefficient(row @ modes, params.k, clamped)
-        previous = current
+        # the round's iterates are views of one derivative stack (see _integrate)
+        velocity = iterates[0].coeff_t.base[1]
+        if len(going) < len(velocity):
+            velocity = velocity[going]
+        active = [active[position] for position in going]
+        masses = _FrozenMass(basis, quad, velocity, k[active], clamped)
     else:
-        raise PicardDivergenceError(differences, config.picard_max)
-    return current, PicardReport(
-        iterations=len(differences),
-        differences=differences,
-        factors=factors,
-        degeneracy_margin=float(margins.min()),
-        iterate_norms=iterate_norms,
-    )
+        for member in active:
+            failures[member] = PicardDivergenceError(
+                states[member].report.differences, config.picard_max
+            )
+    first_failure = min(failures, default=len(members))
+    for state in states[: first_failure + 1]:
+        for margin in state.close_margins:
+            warnings.warn(
+                f"degeneracy margin {margin:.3g} < 0.1; the model is close to degenerate",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    if failures:
+        raise failures[first_failure]
+    return [(state.last, state.report) for state in states]
+
+
+def _solve_jmgt_batch(
+    members: list[ModelParams],
+    basis: SpectralBasis,
+    f: SpaceTimeFn | None,
+    g: WindowedSignal | None,
+    config: SolverConfig,
+    bc: BoundaryKind,
+    variant: NonlinearVariant,
+) -> list[tuple[Trajectory, PicardReport]]:
+    """``solve_jmgt`` for a batch of FULL_JMGT or RELAXED_JMGT members, run in lockstep."""
+    for params in members:
+        if params.tau <= 0.0:
+            raise ValueError(f"the third-order variants require tau > 0, got {params.tau}")
+    clamped = variant is NonlinearVariant.RELAXED_JMGT
+    return _picard_loop(3, members, basis, f, g, config, bc, clamped, guarded=not clamped)
 
 
 def solve_jmgt(
@@ -192,10 +264,7 @@ def solve_jmgt(
     """
     if variant is NonlinearVariant.WESTERVELT:
         return solve_westervelt_nonlinear(params, basis, f, g, config, bc)
-    if params.tau <= 0.0:
-        raise ValueError(f"the third-order variants require tau > 0, got {params.tau}")
-    clamped = variant is NonlinearVariant.RELAXED_JMGT
-    return _picard_loop(3, params, basis, f, g, config, bc, clamped, guarded=not clamped)
+    return _solve_jmgt_batch([params], basis, f, g, config, bc, variant)[0]
 
 
 def solve_westervelt_nonlinear(
@@ -212,5 +281,5 @@ def solve_westervelt_nonlinear(
     coefficient is the unclamped 1 - 2k*psi_t, so the degeneracy guard
     applies exactly as in the full third-order model.
     """
-    params = replace(params, tau=0.0)
-    return _picard_loop(2, params, basis, f, g, config, bc, clamped=False, guarded=True)
+    members = [replace(params, tau=0.0)]
+    return _picard_loop(2, members, basis, f, g, config, bc, clamped=False, guarded=True)[0]

@@ -50,3 +50,17 @@ def fd_derivative(fn, t: float, order: int, h: float, points: int = 11):
     estimate = float(weights @ values)
     floor = float(np.finfo(float).eps * np.abs(weights) @ np.abs(values))
     return estimate, floor
+
+
+def degeneracy_margin(traj, basis, k: float, eval_grid: int | None = None) -> float:
+    """Margin oracle: the minimum of 1 - 2k*psi_t over the space-time grid.
+
+    psi_t is summed from the stored coefficients over the closed-form cosine
+    modes sqrt(c_i / L) cos(i pi x / L) (c_0 = 1, else 2) at ``eval_grid``
+    equispaced points, both ends included (default 8 per mode).
+    """
+    length, n = basis.length, traj.coeff_t.shape[1]
+    points = np.linspace(0.0, length, eval_grid if eval_grid is not None else 8 * n)
+    scale = np.sqrt(np.where(np.arange(n) == 0, 1.0, 2.0) / length)
+    modes = scale[:, None] * np.cos(np.outer(np.arange(n) * np.pi / length, points))
+    return float((1.0 - 2.0 * k * (traj.coeff_t @ modes)).min())

@@ -1,9 +1,20 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from jmgt_lab import BoundaryKind, ConfigFileError, SolverConfig, cli
+from jmgt_lab import (
+    BoundaryKind,
+    ConfigFileError,
+    SolverConfig,
+    build_basis,
+    cli,
+    constant_field,
+    nonlinear,
+    solve_smgt_linear,
+)
 from jmgt_lab.cli import main, mms_study, limit_study, run
 from jmgt_lab.config import parse_config, parse_config_text
 
@@ -365,6 +376,103 @@ class TestRun:
         config = parse_config_text(config_with(**overrides))
         assert run(subcommand, config, out_dir=tmp_path, quiet=True) == 0
         assert calls == {"energy_lower": runs, "energy_higher": runs}
+
+
+class TestSweepBatches:
+    """The tau-members of a sweep are stepped together but report as if solved in sweep order."""
+
+    @pytest.mark.parametrize("bc", ["neumann", "mixed"])
+    def test_energy_audit_members_equal_lone_linear_solves(self, tmp_path, monkeypatch, bc):
+        batches = []
+        original = cli._solve_linear
+
+        def spy(*args):
+            batches.append(original(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(cli, "_solve_linear", spy)
+        taus = (0.1, 0.03, 0.01)
+        text = config_with(bc=bc, beta=0.5, tau_sweep=", ".join(map(repr, taus)))
+        config = parse_config_text(text)
+        assert run("energy-audit", config, out_dir=tmp_path, quiet=True) == 0
+        [trajectories] = batches
+        basis = build_basis(config.length, config.solver.n_modes)
+        for tau, traj in zip(taus, trajectories, strict=True):
+            params = replace(config.params, tau=tau)
+            lone = solve_smgt_linear(
+                params, basis, constant_field(1.0), None, config.signal, config.solver, config.bc
+            )
+            assert traj.params == lone.params
+            for name in ("coeff", "coeff_t", "coeff_tt", "coeff_ttt"):
+                assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
+
+    def test_amplitude_four_study_stops_at_its_second_member(self, tmp_path, monkeypatch):
+        # the criterion-05 study at amplitude 4: tau = 0.03 loses positivity at iteration 4,
+        # so the study never runs tau <= 0.01 (tau = 1e-3 would warn with margin 0.000828)
+        batch_sizes = []
+        original = nonlinear._integrate
+
+        def spy(order, members, *args):
+            if order == 3:
+                batch_sizes.append(len(members))
+            return original(order, members, *args)
+
+        monkeypatch.setattr(nonlinear, "_integrate", spy)
+        path = tmp_path / "study.cfg"
+        path.write_text(AMPLITUDE_FOUR_STUDY, encoding="utf-8")
+        argv = ["limit-study", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 2
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert (tmp_path / "out" / "report.csv").read_text() == (
+            "section,key,value\n"
+            "failure,type,NonDegeneracyViolated\n"
+            "failure,message,degeneracy margin -0.00711744 <= 0 at t = 1.085 "
+            "(fixed-point iteration 4)\n"
+            "failure,violation_time,1.085\n"
+            "failure,margin,-0.0071174446471482522\n"
+            "failure,iteration,4\n"
+        )
+        margins = [
+            str(item.message).split()[2] for item in caught if item.category is RuntimeWarning
+        ]
+        reference = ["0.0906", "0.0334", "0.0129", "0.00625", "0.00432", "0.00382", "0.00371"]
+        reference += ["0.00369"] + ["0.00368"] * 10
+        first_member = ["0.0853", "0.0537", "0.0498"] + ["0.0495"] * 9  # tau = 0.1, iterations 2-13
+        second_member = ["0.0702", "0.00972"]  # tau = 0.03, before its iteration-4 abort
+        assert margins == reference + first_member + second_member
+        # the members after tau = 0.03 stop with it; tau = 0.1 runs on to converge at 13
+        assert batch_sizes == [5] * 4 + [1] * 9
+
+
+#: The criterion-05 limit study (the seed-0 benchmark config) with the drive raised to 4.
+AMPLITUDE_FOUR_STUDY = """\
+[model]
+c2 = 1.0
+delta = 1.0
+tau = 0.1
+k = 0.4
+beta = 0.0
+
+[signal]
+amplitude = 4.0
+frequency = 2.0
+onset_power = 5
+decay_rate = 2.0
+
+[discretization]
+dt = 0.005
+t_final = 2.0
+n_modes = 16
+picard_tol = 1e-10
+picard_max = 30
+
+[experiment]
+bc = neumann
+tau_sweep = 0.1, 0.03, 0.01, 0.003, 0.001
+"""
 
 
 class TestMain:

@@ -351,25 +351,43 @@ class TestStepOperatorOncePerRun:
         assert len(masses) == 1
         assert len(solves) == self.CONFIG.n_steps
 
-    @pytest.mark.parametrize("solve", [solve_jmgt, solve_westervelt_nonlinear])
-    def test_picard_assembles_one_mass_for_the_first_iterate_only(self, monkeypatch, solve):
+    @pytest.mark.parametrize(
+        "taus", [(0.1,), (0.1, 0.01, 0.001), ()], ids=["one", "three", "westervelt"]
+    )
+    def test_picard_assembles_one_mass_for_the_first_iterate_only(self, monkeypatch, taus):
+        # every round steps its batch with one (stacked) mass per step and one stacked solve
         masses = self.count(monkeypatch, TimeVaryingMass, "matrix")
         solves = self.count(monkeypatch, np.linalg, "solve")
-        per_iterate = []
+        per_round = []
         original = nonlinear._integrate
 
-        def integrate(*args):
+        def integrate(order, members, *args):
             before = len(masses), len(solves)
-            result = original(*args)
-            per_iterate.append((len(masses) - before[0], len(solves) - before[1]))
+            result = original(order, members, *args)
+            per_round.append((len(members), len(masses) - before[0], len(solves) - before[1]))
             return result
 
         monkeypatch.setattr(nonlinear, "_integrate", integrate)
         basis = build_basis(L, self.CONFIG.n_modes)
-        _, report = solve(self.PARAMS, basis, None, self.DRIVE, self.CONFIG, BoundaryKind.MIXED)
+        if taus:
+            members = [ModelParams(c2=1.0, delta=1.0, tau=tau, k=0.4, beta=0.5) for tau in taus]
+            runs = nonlinear._solve_jmgt_batch(
+                members, basis, None, self.DRIVE, self.CONFIG, BoundaryKind.MIXED,
+                nonlinear.NonlinearVariant.FULL_JMGT,
+            )
+            iterations = [report.iterations for _, report in runs]
+        else:
+            _, report = solve_westervelt_nonlinear(
+                self.PARAMS, basis, None, self.DRIVE, self.CONFIG, BoundaryKind.MIXED
+            )
+            iterations = [report.iterations]
         steps = self.CONFIG.n_steps
-        assert report.iterations >= 3
-        assert per_iterate == [(1, steps)] + [(steps, steps)] * (report.iterations - 1)
+        assert min(iterations) >= 3
+        rounds = range(1, max(iterations) + 1)
+        batch_sizes = [sum(count >= r for count in iterations) for r in rounds]
+        assert per_round == [(batch_sizes[0], 1, steps)] + [
+            (size, steps, steps) for size in batch_sizes[1:]
+        ]
 
 
 class TestMixedBoundary:

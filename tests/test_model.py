@@ -94,11 +94,34 @@ class TestParamValidation:
             dict(dt=float("inf"), t_final=1.0, n_modes=4),
             dict(dt=0.01, t_final=1.0, n_modes=4, picard_tol=float("inf")),
             dict(dt=0.01, t_final=1.0, n_modes=4, picard_tol=float("nan")),
+            # the count fields are integers, and a bool is not one
+            dict(dt=0.1, t_final=1.0, n_modes=4.5),
+            dict(dt=0.1, t_final=1.0, n_modes=4.0),
+            dict(dt=0.1, t_final=1.0, n_modes=True),
+            dict(dt=0.1, t_final=1.0, n_modes=4, quad_points=16.5),
+            dict(dt=0.1, t_final=1.0, n_modes=4, quad_points=16.0),
+            dict(dt=0.1, t_final=1.0, n_modes=4, picard_max=2.5),
+            dict(dt=0.1, t_final=1.0, n_modes=4, picard_max=True),
+            dict(dt=0.1, t_final=1.0, n_modes=4, eval_grid=32.0),
+            dict(dt=0.1, t_final=1.0, n_modes=4, eval_grid=True),
         ],
     )
     def test_invalid_solver_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["n_modes", "quad_points", "picard_max", "eval_grid"])
+    def test_count_field_that_is_not_an_integer_is_reported(self, field):
+        kwargs = dict(dt=0.1, t_final=1.0, n_modes=4)
+        kwargs[field] = 4.5 if field == "n_modes" else False
+        with pytest.raises(InvalidParameters) as info:
+            SolverConfig(**kwargs)
+        assert info.value.violations == [(field, f"must be an integer, got {kwargs[field]}")]
+
+    def test_numpy_integers_are_integers(self):
+        config = SolverConfig(dt=0.1, t_final=1.0, n_modes=np.int64(4), picard_max=np.int32(3))
+        assert config.quad_points == 16
+        assert config.eval_grid == 32
 
     @pytest.mark.parametrize(
         "kwargs",

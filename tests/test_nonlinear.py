@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,17 +11,20 @@ import jmgt_lab.integrate
 import jmgt_lab.nonlinear
 from jmgt_lab import (
     BoundaryKind,
+    CoefficientField,
     ModelParams,
     NonDegeneracyViolated,
     NonlinearVariant,
     PicardDivergenceError,
+    SingularStepMatrixError,
     SolverConfig,
+    SolverFailure,
+    TimeVaryingMass,
     Trajectory,
     WindowedSignal,
     build_basis,
     clamp_h,
     constant_field,
-    degeneracy_check,
     field_from_trajectory,
     solve_jmgt,
     solve_smgt_linear,
@@ -29,6 +33,7 @@ from jmgt_lab import (
     trajectory_distance,
     zero_trajectory,
 )
+from helpers import degeneracy_margin
 
 L = math.pi
 
@@ -66,17 +71,21 @@ class TestClampH:
 
 
 class TestDegeneracyCheck:
+    """The margins of the Picard runs against the oracle ``helpers.degeneracy_margin``."""
+
     def test_zero_trajectory_margin_one(self):
         basis, params, _, config = small_setup()
-        from jmgt_lab import zero_trajectory
-
         traj = zero_trajectory(params, basis, config)
-        assert degeneracy_check(traj, basis, params.k) == 1.0
+        assert degeneracy_margin(traj, basis, params.k) == 1.0
+        series = jmgt_lab.nonlinear._margin_series(traj, basis, params.k, config.eval_grid)
+        assert series.shape == (config.n_steps + 1,)
+        assert np.all(series == 1.0)
 
     def test_zero_nonlinearity_margin_one(self):
         basis, params, sig, config = small_setup(k=0.0)
-        traj, _ = solve_jmgt(params, basis, None, sig, config)
-        assert degeneracy_check(traj, basis, 0.0) == 1.0
+        traj, report = solve_jmgt(params, basis, None, sig, config)
+        assert report.degeneracy_margin == 1.0
+        assert degeneracy_margin(traj, basis, 0.0) == 1.0
 
     def test_single_mode_analytic_extremum(self):
         # one mode with velocity amplitude a: margin = 1 - 2|k| a sqrt(2/L)
@@ -95,15 +104,19 @@ class TestDegeneracyCheck:
             params=params,
         )
         expected = 1.0 - 2.0 * abs(params.k) * amplitude * math.sqrt(2.0 / L)
-        margin = degeneracy_check(traj, basis, params.k, eval_grid=4096)
-        assert margin == pytest.approx(expected, abs=1e-6)
+        assert degeneracy_margin(traj, basis, params.k, eval_grid=4096) == pytest.approx(
+            expected, abs=1e-6
+        )
+        series = jmgt_lab.nonlinear._margin_series(traj, basis, params.k, 4096)
+        assert series.min() == pytest.approx(expected, abs=1e-6)
 
-    @pytest.mark.parametrize("eval_grid", [1, 0])
-    def test_grid_without_both_ends_rejected(self, eval_grid):
-        basis, params, _, config = small_setup(n=4)
-        traj = zero_trajectory(params, basis, config)
-        with pytest.raises(ValueError, match="eval_grid must be at least 2"):
-            degeneracy_check(traj, basis, params.k, eval_grid=eval_grid)
+    @pytest.mark.parametrize("variant", list(NonlinearVariant), ids=lambda v: v.value)
+    def test_reported_margin_is_the_oracle_margin_of_the_result(self, variant):
+        basis, params, sig, config = small_setup(amplitude=0.6)
+        traj, report = solve_jmgt(params, basis, None, sig, config, variant=variant)
+        expected = degeneracy_margin(traj, basis, params.k, config.eval_grid)
+        assert report.degeneracy_margin < 0.99
+        assert report.degeneracy_margin == pytest.approx(expected, rel=1e-12)
 
 
 class TestContractionNorm:
@@ -395,3 +408,138 @@ class TestArrayPicard:
         solve_smgt_linear(params, basis, constant_field(1.0), source, sig, config)
         solve_westervelt_linearized(params, basis, constant_field(1.0), source, sig, config)
         assert calls == [config.n_steps + 1] * 3
+
+
+def record_warnings(run):
+    """(result or raised SolverFailure, messages of the RuntimeWarnings it emitted, in order)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = run()
+        except SolverFailure as exc:
+            outcome = exc
+    return outcome, [str(item.message) for item in caught if item.category is RuntimeWarning]
+
+
+def one_after_another(members, *args):
+    """The members solved one by one through solve_jmgt, stopping at the first failure."""
+    runs = []
+    for params in members:
+        try:
+            runs.append(solve_jmgt(params, *args))
+        except SolverFailure as exc:
+            return exc
+    return runs
+
+
+class TestLockstep:
+    """Members stepped in lockstep against the same members solved one after another."""
+
+    TAUS = (0.3, 0.1, 0.01, 0.001)  # 7, 9, 14 and 18 iterations
+
+    @staticmethod
+    def setup(amplitude=1.5, n=6, dt=1 / 50, t_final=1.0, picard_max=30, decay=1.0):
+        basis = build_basis(L, n)
+        sig = WindowedSignal(amplitude, 2.0, 5, decay)
+        config = SolverConfig(
+            dt=dt, t_final=t_final, n_modes=n, picard_tol=1e-10, picard_max=picard_max
+        )
+        return basis, sig, config
+
+    @staticmethod
+    def members(taus, delta=0.8, beta=0.5):
+        return [ModelParams(c2=1.0, delta=delta, tau=tau, k=0.4, beta=beta) for tau in taus]
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize(
+        "variant",
+        [NonlinearVariant.FULL_JMGT, NonlinearVariant.RELAXED_JMGT],
+        ids=lambda v: v.value,
+    )
+    def test_members_equal_lone_runs(self, variant, bc):
+        basis, sig, config = self.setup()
+        members = self.members(self.TAUS)
+        args = (basis, None, sig, config, bc, variant)
+        batch = jmgt_lab.nonlinear._solve_jmgt_batch
+        runs, warned = record_warnings(lambda: batch(members, *args))
+        expected, expected_warned = record_warnings(lambda: one_after_another(members, *args))
+        assert len({report.iterations for _, report in runs}) == len(members)
+        assert warned == expected_warned
+        for (traj, report), (lone, lone_report) in zip(runs, expected):
+            for name in ("times", "coeff", "coeff_t", "coeff_tt", "coeff_ttt"):
+                assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
+            assert traj.params == lone.params and traj.bc is lone.bc
+            assert vars(report) == vars(lone_report)
+
+    #: a strong drive of n = 8 runs to T = 2 (k = 0.4, delta = 1, decay rate 2), by amplitude
+    STRONG = dict(n=8, dt=0.01, t_final=2.0, decay=2.0)
+
+    @pytest.mark.parametrize(
+        "drive, delta, taus, failing",
+        [
+            # tau = 0.003 loses positivity at iteration 2, before tau = 0.001 does at iteration 3
+            (dict(STRONG, amplitude=4.4), 1.0, (0.3, 0.001, 0.003), 1),
+            # tau = 0.1 loses positivity at iteration 3; tau = 0.3 converges in 11
+            (dict(STRONG, amplitude=4.2), 1.0, (0.3, 0.1), 1),
+            # the cap stops tau = 0.01 and tau = 0.001, while tau = 0.1 converges at it
+            (dict(picard_max=9), 0.8, TAUS, 2),
+        ],
+        ids=["earlier-member-fails-later", "later-member-fails-alone", "iteration-cap"],
+    )
+    def test_first_failing_member_wins(self, drive, delta, taus, failing):
+        basis, sig, config = self.setup(**drive)
+        members = self.members(taus, delta, beta=0.0)
+        args = (basis, None, sig, config, BoundaryKind.PURE_NEUMANN, NonlinearVariant.FULL_JMGT)
+        batch = jmgt_lab.nonlinear._solve_jmgt_batch
+        failure, warned = record_warnings(lambda: batch(members, *args))
+        expected, expected_warned = record_warnings(lambda: one_after_another(members, *args))
+        lone, _ = record_warnings(lambda: solve_jmgt(members[failing], *args))
+        assert isinstance(expected, SolverFailure)
+        assert type(failure) is type(expected) is type(lone)
+        assert str(failure) == str(expected) == str(lone)
+        assert vars(failure) == vars(expected)
+        assert warned == expected_warned
+
+    def test_stacked_singular_step_is_attributed_to_its_own_member(self):
+        # with alpha = 0 the second-order step matrix has a zero row (mode 0 carries no
+        # stiffness); member 1 hits it at step 6, member 2 hits a NaN alpha at step 3
+        basis = build_basis(L, 4)
+        config = SolverConfig(dt=0.1, t_final=1.0, n_modes=4)
+        members = [ModelParams(c2=1.0, delta=delta, tau=0.0) for delta in (1.0, 0.8, 0.6)]
+
+        def source(x, t):
+            return np.cos(np.asarray(x, dtype=float)) + t
+
+        quad, loads = jmgt_lab.integrate._prepare_data(
+            members, basis, source, None, config, BoundaryKind.PURE_NEUMANN
+        )
+        alpha = np.ones((3, config.n_steps + 1, quad.count))
+        alpha[1, 6:] = 0.0
+        alpha[2, 3:] = np.nan
+        trajectories, failure = jmgt_lab.integrate._integrate(
+            2, members, basis, quad, TimeVaryingMass(basis, quad, alpha), loads, config,
+            BoundaryKind.PURE_NEUMANN,
+        )
+
+        def field_of(row):
+            return CoefficientField(
+                value=lambda x, t: np.full_like(np.asarray(x, dtype=float), row[round(t / 0.1)])
+            )
+
+        alone = []
+        for params, rows in zip(members[1:], alpha[1:]):
+            with pytest.raises(SingularStepMatrixError) as info:
+                solve_westervelt_linearized(
+                    params, basis, field_of(rows[:, 0]), source, None, config
+                )
+            alone.append(info.value)
+        assert (alone[0].step, alone[1].step) == (6, 3)
+        assert isinstance(failure, SingularStepMatrixError)
+        assert (failure.step, failure.time) == (alone[0].step, alone[0].time)
+        assert type(failure.__cause__) is type(alone[0].__cause__) is np.linalg.LinAlgError
+        [traj] = trajectories
+        lone = solve_westervelt_linearized(
+            members[0], basis, constant_field(1.0), source, None, config
+        )
+        assert np.array_equal(traj.coeff, lone.coeff)
+        assert np.array_equal(traj.coeff_tt, lone.coeff_tt)

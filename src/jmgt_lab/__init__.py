@@ -60,7 +60,6 @@ from .integrate import (
     recover_third,
     solve_smgt_linear,
     solve_westervelt_linearized,
-    zero_trajectory,
 )
 from .model import (
     MAX_SIGNAL_ORDER,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import End, QuadratureRule, SpectralBasis, mode_matrix, project, trace_vector
 from .exceptions import CompatibilityError
-from .model import BoundaryKind, ModelParams, WindowedSignal, signal_eval, validate_compatibility
+from .model import ModelParams, WindowedSignal, signal_eval, validate_compatibility
 
 if TYPE_CHECKING:
     from .integrate import Trajectory
@@ -223,12 +223,12 @@ def assemble_loads(
     g: WindowedSignal | None,
     params: ModelParams,
     times,
-    bc: BoundaryKind = BoundaryKind.PURE_NEUMANN,
 ) -> np.ndarray:
     """Loads F_i(t) = (f(., t), w_i) + (c2*g(t) + b*g_t(t)) * w_i(0), one row per time.
 
-    The signal always drives the left end; in MIXED mode the right end is
-    handled by the boundary matrices, so the load is identical.
+    The signal always drives the left end; an absorbing right end enters
+    through the boundary matrices, so the load is the same under both
+    boundary kinds.
     """
     times = np.asarray(times, dtype=float)
     loads = np.zeros((times.size, basis.n))
@@ -250,10 +250,9 @@ def assemble_load(
     g: WindowedSignal | None,
     params: ModelParams,
     t: float,
-    bc: BoundaryKind = BoundaryKind.PURE_NEUMANN,
 ) -> np.ndarray:
     """Load vector F(t) at one time; see ``assemble_loads``."""
-    return assemble_loads(basis, quad, f, g, params, [t], bc)[0]
+    return assemble_loads(basis, quad, f, g, params, [t])[0]
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,12 @@ from .energy import (
     energy_higher,
     energy_lower,
 )
-from .exceptions import ConfigFileError, NonDegeneracyViolated, SolverFailure
+from .exceptions import ConfigFileError, InvalidParameters, NonDegeneracyViolated, SolverFailure
 from .integrate import Trajectory, _solve_linear, solve_smgt_linear, solve_westervelt_linearized
 from .nonlinear import (
     NonlinearVariant,
     PicardReport,
-    _solve_jmgt_batch,
+    _picard_loop,
     solve_jmgt,
     solve_westervelt_nonlinear,
 )
@@ -163,7 +163,7 @@ def limit_study(config: ExperimentConfig) -> tuple[LimitStudyResult, Trajectory]
         config.params, basis, None, config.signal, config.solver, config.bc
     )
     members = [replace(config.params, tau=tau) for tau in config.tau_sweep]
-    runs = _solve_jmgt_batch(
+    runs = _picard_loop(
         members, basis, None, config.signal, config.solver, config.bc, NonlinearVariant.FULL_JMGT
     )
     rows: list[LimitRow] = []
@@ -359,13 +359,6 @@ def run(
         if not quiet:
             print(f"warning: {warning}", file=sys.stderr)
 
-    needs_positive_tau = subcommand in ("solve-linear", "solve-jmgt", "solve-relaxed", "mms") or (
-        subcommand == "energy-audit" and config.tau_sweep is None
-    )
-    if needs_positive_tau and config.params.tau <= 0.0:
-        print(f"config error: {subcommand} requires tau > 0", file=sys.stderr)
-        return 1
-
     basis = build_basis(config.length, config.solver.n_modes)
     try:
         if subcommand in _SOLVE_VARIANTS:
@@ -399,6 +392,9 @@ def run(
     except ConfigFileError as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)
+        return 1
+    except InvalidParameters as exc:  # tau = 0 for a subcommand that solves the third-order system
+        print(f"config error: {subcommand}: {exc}", file=sys.stderr)
         return 1
 
     # the limit-study reference and the mms runs carry no flux columns

@@ -123,17 +123,17 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         try:
             values[(section, key)] = _cast(kind, raw_value)
         except ValueError as exc:
+            values.pop((section, key), None)
             errors.append(f"line {lineno}: invalid value for {key!r}: {exc}")
 
+    # a key that did not parse is reported once; its section builds no dataclass
+    failed = {pair for pair in lines_of if pair not in values}
+    unbuilt = {section_name for section_name, _ in failed}
     for section_name, keys in _SCHEMA.items():
         for key in keys:
             if key not in _OPTIONAL and (section_name, key) not in lines_of:
                 errors.append(f"{source}: missing required key {key!r} in [{section_name}]")
-
-    if errors:
-        raise ConfigFileError(errors)
-
-    failed: set[tuple[str, str]] = set()
+                unbuilt.add(section_name)
 
     def fail(section_name: str, key: str, message: str) -> None:
         """Report the first broken rule of a key; defaults break none, so it has a line."""
@@ -146,6 +146,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
 
     built = {}
     for section_name, owner in _OWNERS.items():
+        if section_name in unbuilt:
+            continue
         kwargs = {
             item.name: values[(section_name, item.name)]
             for item in fields(owner)
@@ -157,7 +159,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             for key, rule in exc.violations:
                 fail(section_name, key, rule)
 
-    if get("signal", "onset_power") < 5:
+    onset_power = get("signal", "onset_power")  # None when missing or unparsable
+    if onset_power is not None and onset_power < 5:
         fail("signal", "onset_power", "must be at least 5 (compatibility up to fourth order)")
     if get("discretization", "length") <= 0:
         fail("discretization", "length", "must be positive")

@@ -370,7 +370,7 @@ def ode_residual_z(
     b = params.b
 
     masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, traj.times))
-    loads = assemble_loads(basis, quad, f, g, params, traj.times, traj.bc)
+    loads = assemble_loads(basis, quad, f, g, params, traj.times)
     boundary = assemble_boundary(basis, End.RIGHT) if traj.bc is BoundaryKind.MIXED else None
 
     z = (1.0 + lam) * traj.coeff

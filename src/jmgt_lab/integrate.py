@@ -1,6 +1,6 @@
 """Implicit time integration of the Galerkin systems.
 
-Both solvers step their momentum balance with BDF2 after a single
+Both systems step their momentum balance with BDF2 after a single
 implicit-Euler startup step.  The pair is A-stable and strongly damping at
 infinity, which the third-order system needs because tau multiplies its
 highest derivative.  Each step solves one n x n system for the highest stored
@@ -10,7 +10,8 @@ their masses and loads, and makes one stacked solve per step; a single run is
 a batch of one.  The time-invariant part of the step matrix is built once per
 BDF coefficient; the mass and the step matrix are rebuilt only at a step whose
 row of alpha differs from the previous one, so a constant-alpha run builds one
-mass and two step matrices (startup and BDF2).
+mass and two step matrices (startup and BDF2).  ``_prepare_data`` holds the
+rules that define the systems for the linear and the fixed-point drivers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .assembly import (
     sample_field,
 )
 from .basis import End, QuadratureRule, SpectralBasis, build_quadrature
-from .exceptions import CompatibilityError, SingularStepMatrixError
+from .exceptions import CompatibilityError, InvalidParameters, SingularStepMatrixError
 from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal, validate_compatibility
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "solve_smgt_linear",
     "solve_westervelt_linearized",
     "recover_third",
-    "zero_trajectory",
 ]
 
 
@@ -87,26 +87,6 @@ class Trajectory:
         )
 
 
-def zero_trajectory(
-    params: ModelParams,
-    basis: SpectralBasis,
-    config: SolverConfig,
-    bc: BoundaryKind = BoundaryKind.PURE_NEUMANN,
-    with_third: bool = True,
-) -> Trajectory:
-    """Identically zero trajectory on the config's time grid."""
-    shape = (config.n_steps + 1, basis.n)
-    return Trajectory(
-        times=config.times,
-        coeff=np.zeros(shape),
-        coeff_t=np.zeros(shape),
-        coeff_tt=np.zeros(shape),
-        coeff_ttt=np.zeros(shape) if with_third else None,
-        bc=bc,
-        params=params,
-    )
-
-
 def recover_third(
     params: ModelParams,
     stiffness: np.ndarray,
@@ -140,17 +120,25 @@ def recover_third(
 
 
 def _prepare_data(
+    order: int,
     members: list[ModelParams],
     basis: SpectralBasis,
     f: SpaceTimeFn | None,
     g: WindowedSignal | None,
     config: SolverConfig,
     bc: BoundaryKind,
-) -> tuple[QuadratureRule, np.ndarray]:
-    """Check the signal, then build the run's quadrature and each member's loads.
+) -> tuple[list[ModelParams], QuadratureRule, np.ndarray]:
+    """Apply the system's rule, check the signal, then build quadrature and loads.
 
-    ``loads[b, m]`` is the load of ``members[b]`` at grid time m.
+    Order 3 needs tau > 0 (InvalidParameters); order 2, the tau = 0 limit,
+    runs its members at tau = 0.  Returns those members, the quadrature and
+    ``loads[b, m]``, the load of member b at grid time m.
     """
+    if order == 2:
+        members = [replace(params, tau=0.0) for params in members]
+    elif (tau := min(params.tau for params in members)) <= 0.0:
+        rule = f"must be positive for the third-order system, got {tau}"
+        raise InvalidParameters("ModelParams", [("tau", rule)])
     if g is not None:
         required = 4 if bc is BoundaryKind.MIXED else 3
         violations = validate_compatibility(g, required)
@@ -159,8 +147,8 @@ def _prepare_data(
     quad = build_quadrature(basis.length, config.quad_points)
     loads = np.empty((len(members), config.n_steps + 1, basis.n))
     for member, params in enumerate(members):
-        loads[member] = assemble_loads(basis, quad, f, g, params, config.times, bc)
-    return quad, loads
+        loads[member] = assemble_loads(basis, quad, f, g, params, config.times)
+    return members, quad, loads
 
 
 def _solve_step(matrix: np.ndarray, rhs: np.ndarray, step: int, time: float) -> np.ndarray:
@@ -318,11 +306,7 @@ def _solve_linear(
     Raises what the first failing member raises when the members are solved
     one after another.
     """
-    if order == 3:
-        for params in members:
-            if params.tau <= 0.0:
-                raise ValueError(f"the third-order solver requires tau > 0, got {params.tau}")
-    quad, loads = _prepare_data(members, basis, f, g, config, bc)
+    members, quad, loads = _prepare_data(order, members, basis, f, g, config, bc)
     masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, config.times))
     trajectories, failure = _integrate(order, members, basis, quad, masses, loads, config, bc)
     if failure is not None:
@@ -345,8 +329,9 @@ def solve_smgt_linear(
 
         tau*xi''' + (M(t) + b*beta*B)xi'' + (b*K + c2*beta*B)xi' + c2*K*xi = F(t)
 
-    with B = 0 under pure Neumann conditions.  Every step solves one dense
-    linear system of size n for xi''.
+    with B = 0 under pure Neumann conditions; tau must be positive
+    (InvalidParameters otherwise).  Every step solves one dense linear
+    system of size n for xi''.
     """
     return _solve_linear(3, [params], basis, field, f, g, config, bc)[0]
 
@@ -367,4 +352,4 @@ def solve_westervelt_linearized(
     tau = 0 so that downstream energy weights are consistent.  Every step
     solves one dense linear system of size n for xi'.
     """
-    return _solve_linear(2, [replace(params, tau=0.0)], basis, field, f, g, config, bc)[0]
+    return _solve_linear(2, [params], basis, field, f, g, config, bc)[0]

@@ -3,19 +3,21 @@
 The nonlinearity is handled by whole-horizon successive substitution: freeze
 the coefficient 1 - 2k*psi_t (or its clamped relaxation) at the previous
 iterate, re-solve the linear problem on [0, T], and measure the difference in
-the energy norm in which the underlying map contracts for small data.  A run
-assembles its loads once; each iterate's alpha is built step by step from the
-previous iterate's psi_t coefficients and the mode values at the quadrature
-nodes.  Runs that share basis, grid and drive (the tau-members of a sweep)
-iterate in lockstep: one batched step loop per round, with failures and
-warnings reported as if the members ran one after another.
+the energy norm in which the underlying map contracts for small data.  One
+driver serves every variant, and the variant alone picks the system, the
+clamp and the degeneracy guard.  A run assembles its loads once; each
+iterate's alpha is built step by step from the previous iterate's psi_t
+coefficients and the mode values at the quadrature nodes.  Runs that share
+basis, grid and drive (the tau-members of a sweep) iterate in lockstep: one
+batched step loop per round, with failures and warnings reported as if the
+members ran one after another.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -155,18 +157,18 @@ def _advance(
 
 
 def _picard_loop(
-    order: int,
     members: list[ModelParams],
     basis: SpectralBasis,
     f: SpaceTimeFn | None,
     g: WindowedSignal | None,
     config: SolverConfig,
     bc: BoundaryKind,
-    clamped: bool,
-    guarded: bool,
+    variant: NonlinearVariant,
 ) -> list[tuple[Trajectory, PicardReport]]:
-    """Fixed-point runs of a batch of members, stepped in lockstep.
+    """Fixed-point runs of a batch of members of one variant, stepped in lockstep.
 
+    WESTERVELT solves the second-order system, the others the third-order
+    one; RELAXED_JMGT clamps alpha, and every other variant is guarded.
     Round r integrates iterate r of every member still iterating in one
     ``_integrate`` call, so one stacked solve per step serves them all; a
     member leaves the batch once it converges.  Each member's alpha is
@@ -175,9 +177,12 @@ def _picard_loop(
     members one after another in ``members`` order: once a member fails, the
     members after it stop and the ones before it run on, and the first
     failing member's failure is raised after the warnings of the members up
-    to it.  A single run is a batch of one.
+    to it.  A single run is a batch of one.  Every caller is a public entry
+    point, so the warnings point one frame above it.
     """
-    quad, loads = _prepare_data(members, basis, f, g, config, bc)
+    order = 2 if variant is NonlinearVariant.WESTERVELT else 3
+    clamped = variant is NonlinearVariant.RELAXED_JMGT
+    members, quad, loads = _prepare_data(order, members, basis, f, g, config, bc)
     k = np.array([[params.k] for params in members])
     states = [_Member(params) for params in members]
     failures: dict[int, SolverFailure] = {}
@@ -193,7 +198,7 @@ def _picard_loop(
         going = []  # positions in this round of the members that iterate on
         for position, (member, current) in enumerate(zip(active, iterates)):
             try:
-                if not _advance(states[member], current, iteration, basis, config, guarded):
+                if not _advance(states[member], current, iteration, basis, config, not clamped):
                     going.append(position)
             except SolverFailure as exc:
                 failures[member] = exc
@@ -218,28 +223,11 @@ def _picard_loop(
             warnings.warn(
                 f"degeneracy margin {margin:.3g} < 0.1; the model is close to degenerate",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     if failures:
         raise failures[first_failure]
     return [(state.last, state.report) for state in states]
-
-
-def _solve_jmgt_batch(
-    members: list[ModelParams],
-    basis: SpectralBasis,
-    f: SpaceTimeFn | None,
-    g: WindowedSignal | None,
-    config: SolverConfig,
-    bc: BoundaryKind,
-    variant: NonlinearVariant,
-) -> list[tuple[Trajectory, PicardReport]]:
-    """``solve_jmgt`` for a batch of FULL_JMGT or RELAXED_JMGT members, run in lockstep."""
-    for params in members:
-        if params.tau <= 0.0:
-            raise ValueError(f"the third-order variants require tau > 0, got {params.tau}")
-    clamped = variant is NonlinearVariant.RELAXED_JMGT
-    return _picard_loop(3, members, basis, f, g, config, bc, clamped, guarded=not clamped)
 
 
 def solve_jmgt(
@@ -251,7 +239,7 @@ def solve_jmgt(
     bc: BoundaryKind = BoundaryKind.PURE_NEUMANN,
     variant: NonlinearVariant = NonlinearVariant.FULL_JMGT,
 ) -> tuple[Trajectory, PicardReport]:
-    """Solve the third-order nonlinear model by successive substitution.
+    """Solve a nonlinear model by successive substitution.
 
     The first iterate freezes alpha = 1 (the zero initial iterate); each
     following iterate rebuilds alpha from the previous trajectory.  The loop
@@ -260,11 +248,11 @@ def solve_jmgt(
     factor has exceeded 1 in three consecutive iterations.  FULL_JMGT runs
     abort with NonDegeneracyViolated as soon as an iterate loses positivity
     of 1 - 2k*psi_t; the relaxed variant never aborts, that being the point
-    of the relaxation.
+    of the relaxation.  Both need tau > 0 (InvalidParameters otherwise).
+    WESTERVELT solves the second-order (tau = 0) model, the same run as
+    ``solve_westervelt_nonlinear``.
     """
-    if variant is NonlinearVariant.WESTERVELT:
-        return solve_westervelt_nonlinear(params, basis, f, g, config, bc)
-    return _solve_jmgt_batch([params], basis, f, g, config, bc, variant)[0]
+    return _picard_loop([params], basis, f, g, config, bc, variant)[0]
 
 
 def solve_westervelt_nonlinear(
@@ -281,5 +269,4 @@ def solve_westervelt_nonlinear(
     coefficient is the unclamped 1 - 2k*psi_t, so the degeneracy guard
     applies exactly as in the full third-order model.
     """
-    members = [replace(params, tau=0.0)]
-    return _picard_loop(2, members, basis, f, g, config, bc, clamped=False, guarded=True)[0]
+    return _picard_loop([params], basis, f, g, config, bc, NonlinearVariant.WESTERVELT)[0]

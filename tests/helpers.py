@@ -1,8 +1,25 @@
-"""Shared test utilities: finite-difference oracles independent of the package."""
+"""Shared test utilities: finite-difference oracles independent of the package,
+and fixture builders."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from jmgt_lab import BoundaryKind, Trajectory
+
+
+def zero_trajectory(params, basis, config, bc=BoundaryKind.PURE_NEUMANN, with_third=True):
+    """Identically zero trajectory on the config's time grid."""
+    shape = (config.n_steps + 1, basis.n)
+    return Trajectory(
+        times=config.times,
+        coeff=np.zeros(shape),
+        coeff_t=np.zeros(shape),
+        coeff_tt=np.zeros(shape),
+        coeff_ttt=np.zeros(shape) if with_third else None,
+        bc=bc,
+        params=params,
+    )
 
 
 def fd_weights(center: float, nodes: np.ndarray, order: int) -> np.ndarray:

@@ -227,19 +227,8 @@ class TestLoad:
         combined += assemble_load(basis, quad, None, g2, params, t)
         np.testing.assert_allclose(load_1 + load_2, combined, rtol=1e-12, atol=1e-14)
 
-    def test_mixed_mode_load_identical_to_neumann(self):
-        # the absorbing end enters through matrices, not the load
-        basis = build_basis(2.0, 4)
-        quad = build_quadrature(2.0, 16)
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.1, beta=0.5)
-        sig = WindowedSignal(1.0, 2.0, 5, 1.0)
-        a = assemble_load(basis, quad, None, sig, params, 1.2, BoundaryKind.PURE_NEUMANN)
-        b = assemble_load(basis, quad, None, sig, params, 1.2, BoundaryKind.MIXED)
-        np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("bc", list(BoundaryKind), ids=lambda bc: bc.value)
     @pytest.mark.parametrize("with_f,with_g", [(True, True), (True, False), (False, True)])
-    def test_whole_horizon_loads_equal_the_per_time_formula(self, bc, with_f, with_g):
+    def test_whole_horizon_loads_equal_the_per_time_formula(self, with_f, with_g):
         # bit for bit: each row is (f(., t), w_i) + (c2*g(t) + b*g_t(t)) * w_i(0)
         # with the signal evaluated at the scalar time
         basis = build_basis(2.0, 6)
@@ -248,7 +237,7 @@ class TestLoad:
         f = (lambda x, t: t * np.sin(3.0 * x) + t**2 * np.cos(x)) if with_f else None
         g = WindowedSignal(0.6, 2.0, 5, 1.0) if with_g else None
         times = 0.01 * np.arange(151)
-        loads = assemble_loads(basis, quad, f, g, params, times, bc)
+        loads = assemble_loads(basis, quad, f, g, params, times)
         assert loads.shape == (151, 6)
         for m, t in enumerate(times):
             row = np.zeros(6)
@@ -258,7 +247,7 @@ class TestLoad:
                 gain = params.c2 * signal_eval(g, float(t), 0) + params.b * signal_eval(g, float(t), 1)
                 row += gain * trace_vector(basis, End.LEFT)
             assert np.array_equal(loads[m], row)
-            assert np.array_equal(assemble_load(basis, quad, f, g, params, float(t), bc), row)
+            assert np.array_equal(assemble_load(basis, quad, f, g, params, float(t)), row)
 
 
 class TestHarmonicExtension:

@@ -178,6 +178,28 @@ class TestParsing:
             "line 22: mms_levels",
         ])
 
+    def test_rule_errors_reported_with_the_format_errors(self):
+        # [discretization] and [signal] hold a value that does not parse, so they build
+        # nothing (t_final = 0.3 with the bad dt adds no error); [model] and the
+        # [experiment] rules are still checked in the same pass
+        text = config_with(c2=-1, dt="fast", t_final=0.3, onset_power="five", mms_levels=1)
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(text)
+        errors = info.value.errors
+        assert len(errors) == 4
+        assert errors[0].startswith("line 11: invalid value for 'onset_power'")
+        assert errors[1].startswith("line 15: invalid value for 'dt'")
+        assert errors[2].startswith("line 2: c2 must be positive")
+        assert errors[3].startswith("line 22: mms_levels must be at least 2")
+
+    def test_duplicate_key_whose_last_value_fails_builds_nothing(self):
+        # the earlier dt = 0.3 does not stand in for the bad one (it would not divide 0.5)
+        text = BASE_CONFIG.replace("dt = 0.02", "dt = 0.3\ndt = fast")
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(text)
+        (message,) = info.value.errors
+        assert message.startswith("line 16: invalid value for 'dt'")
+
     @pytest.mark.parametrize("variant", ["relaxed", "westervelt", "bogus"])
     def test_variant_other_than_full_rejected(self, variant):
         # the subcommand picks the model; a variant key that it would ignore is an error
@@ -281,9 +303,30 @@ class TestRun:
             header = (tmp_path / subcommand / "energy.csv").read_text().split("\n", 1)[0]
             assert ("flux_tt_accum" in header) is with_flux, subcommand
 
-    def test_linear_solve_requires_positive_tau(self, tmp_path, capsys):
-        config = parse_config_text(config_with(tau=0.0))
-        assert run("solve-linear", config, out_dir=tmp_path, quiet=True) == 1
+    @pytest.mark.parametrize(
+        "subcommand, code",
+        [
+            ("solve-linear", 1),
+            ("solve-jmgt", 1),
+            ("solve-relaxed", 1),
+            ("mms", 1),
+            ("energy-audit", 1),
+            ("solve-westervelt", 0),
+            ("limit-study", 0),
+        ],
+    )
+    def test_tau_rule_of_every_subcommand(self, tmp_path, capsys, subcommand, code):
+        # the third-order system needs tau > 0; Westervelt is the tau = 0 system, and
+        # limit-study (like an energy-audit with a sweep) solves at the tau_sweep values
+        sweep = {"tau_sweep": "1e-1, 1e-2"} if subcommand == "limit-study" else {}
+        config = parse_config_text(config_with(tau=0.0, **sweep))
+        out = tmp_path / "out"
+        assert run(subcommand, config, out_dir=out, quiet=True) == code
+        if code:
+            assert not out.exists()
+            assert "tau" in capsys.readouterr().err
+        else:
+            assert (out / "report.csv").exists()
 
     def test_determinism_byte_identical_outputs(self, tmp_path):
         config = parse_config_text(BASE_CONFIG)
@@ -345,10 +388,6 @@ class TestRun:
         assert run("limit-study", config, out_dir=tmp_path, quiet=True) == 1
         assert "config error: limit-study requires a tau_sweep" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
-
-    def test_energy_audit_without_sweep_requires_positive_tau(self, tmp_path):
-        config = parse_config_text(config_with(tau=0.0))
-        assert run("energy-audit", config, out_dir=tmp_path, quiet=True) == 1
 
     def test_energy_audit_table(self, tmp_path):
         config = parse_config_text(config_with(tau_sweep="1e-1, 1e-2"))

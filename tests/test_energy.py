@@ -22,9 +22,9 @@ from jmgt_lab import (
     energy_lower,
     ode_residual_z,
     solve_smgt_linear,
-    zero_trajectory,
 )
 from jmgt_lab.energy import trapezoid_running, trapezoid_total
+from helpers import zero_trajectory
 
 L = math.pi
 MODE_AMP = math.sqrt(math.pi / 2.0)

@@ -9,6 +9,7 @@ from jmgt_lab import (
     BoundaryKind,
     CompatibilityError,
     End,
+    InvalidParameters,
     ModelParams,
     SingularStepMatrixError,
     SolverConfig,
@@ -241,7 +242,7 @@ class TestDiscreteEquations:
         traj = solve(params, basis, field, self.source, drive, config, bc)
         quad = build_quadrature(L, config.quad_points)
         loads = [
-            assemble_load(basis, quad, self.source, drive, traj.params, t, bc)
+            assemble_load(basis, quad, self.source, drive, traj.params, t)
             for t in traj.times
         ]
         masses = [assemble_mass(basis, quad, field, t) for t in traj.times]
@@ -371,7 +372,7 @@ class TestStepOperatorOncePerRun:
         basis = build_basis(L, self.CONFIG.n_modes)
         if taus:
             members = [ModelParams(c2=1.0, delta=1.0, tau=tau, k=0.4, beta=0.5) for tau in taus]
-            runs = nonlinear._solve_jmgt_batch(
+            runs = nonlinear._picard_loop(
                 members, basis, None, self.DRIVE, self.CONFIG, BoundaryKind.MIXED,
                 nonlinear.NonlinearVariant.FULL_JMGT,
             )
@@ -461,7 +462,7 @@ class TestRobustness:
         basis = build_basis(L, 4)
         config = SolverConfig(dt=0.01, t_final=0.2, n_modes=4)
         params = ModelParams(c2=1.0, delta=1.0, tau=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters, match="tau must be positive"):
             solve_smgt_linear(params, basis, constant_field(1.0), None, None, config)
 
     def test_unsolvable_step_reports_time_index(self):

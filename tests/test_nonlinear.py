@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import jmgt_lab.nonlinear
 from jmgt_lab import (
     BoundaryKind,
     CoefficientField,
+    InvalidParameters,
     ModelParams,
     NonDegeneracyViolated,
     NonlinearVariant,
@@ -31,9 +33,8 @@ from jmgt_lab import (
     solve_westervelt_linearized,
     solve_westervelt_nonlinear,
     trajectory_distance,
-    zero_trajectory,
 )
-from helpers import degeneracy_margin
+from helpers import degeneracy_margin, zero_trajectory
 
 L = math.pi
 
@@ -288,11 +289,38 @@ class TestGuard:
         assert len(differences) < config.picard_max
         assert all(b / a > 1.0 for a, b in zip(differences[-4:], differences[-3:]))
 
-    def test_jmgt_requires_positive_tau(self):
+    @pytest.mark.parametrize(
+        "variant",
+        [NonlinearVariant.FULL_JMGT, NonlinearVariant.RELAXED_JMGT],
+        ids=lambda v: v.value,
+    )
+    def test_jmgt_requires_positive_tau(self, variant):
         basis, params, sig, config = small_setup()
         zero_tau = ModelParams(c2=1.0, delta=1.0, tau=0.0, k=0.4)
-        with pytest.raises(ValueError):
-            solve_jmgt(zero_tau, basis, None, sig, config)
+        with pytest.raises(InvalidParameters, match="tau must be positive"):
+            solve_jmgt(zero_tau, basis, None, sig, config, variant=variant)
+
+
+class TestWarningLocation:
+    @pytest.mark.parametrize(
+        "solve, amplitude",
+        [
+            (solve_jmgt, 1.7),  # eight warnings, then convergence
+            (solve_westervelt_nonlinear, 1.4),  # one warning, then a degeneracy abort
+            (partial(solve_jmgt, variant=NonlinearVariant.WESTERVELT), 1.4),
+        ],
+        ids=["jmgt", "westervelt", "jmgt-westervelt"],
+    )
+    def test_degeneracy_warnings_point_at_the_caller(self, solve, amplitude):
+        basis, params, sig, config = small_setup(dt=1 / 50, tol=1e-8, amplitude=amplitude)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                solve(params, basis, None, sig, config)
+            except NonDegeneracyViolated:
+                pass
+        assert caught
+        assert all(item.filename == __file__ for item in caught)
 
 
 class TestManufacturedPicard:
@@ -460,7 +488,7 @@ class TestLockstep:
         basis, sig, config = self.setup()
         members = self.members(self.TAUS)
         args = (basis, None, sig, config, bc, variant)
-        batch = jmgt_lab.nonlinear._solve_jmgt_batch
+        batch = jmgt_lab.nonlinear._picard_loop
         runs, warned = record_warnings(lambda: batch(members, *args))
         expected, expected_warned = record_warnings(lambda: one_after_another(members, *args))
         assert len({report.iterations for _, report in runs}) == len(members)
@@ -490,7 +518,7 @@ class TestLockstep:
         basis, sig, config = self.setup(**drive)
         members = self.members(taus, delta, beta=0.0)
         args = (basis, None, sig, config, BoundaryKind.PURE_NEUMANN, NonlinearVariant.FULL_JMGT)
-        batch = jmgt_lab.nonlinear._solve_jmgt_batch
+        batch = jmgt_lab.nonlinear._picard_loop
         failure, warned = record_warnings(lambda: batch(members, *args))
         expected, expected_warned = record_warnings(lambda: one_after_another(members, *args))
         lone, _ = record_warnings(lambda: solve_jmgt(members[failing], *args))
@@ -510,8 +538,8 @@ class TestLockstep:
         def source(x, t):
             return np.cos(np.asarray(x, dtype=float)) + t
 
-        quad, loads = jmgt_lab.integrate._prepare_data(
-            members, basis, source, None, config, BoundaryKind.PURE_NEUMANN
+        members, quad, loads = jmgt_lab.integrate._prepare_data(
+            2, members, basis, source, None, config, BoundaryKind.PURE_NEUMANN
         )
         alpha = np.ones((3, config.n_steps + 1, quad.count))
         alpha[1, 6:] = 0.0

@@ -2,8 +2,11 @@
 rank-one boundary matrices, load vectors, and the boundary-data lift.
 
 The coefficient alpha(x, t) enters only through the mass matrix
-M(t)_ij = (alpha w_i, w_j), built from alpha sampled at the grid times and
-quadrature nodes; loads are assembled for a whole time grid at once.
+M(t)_ij = (alpha w_i, w_j).  For a general field it is a quadrature Gram of
+alpha sampled at the grid times and quadrature nodes; for the unclamped
+Picard coefficient alpha = 1 - 2k*psi_t it is exact in closed form,
+I - 2k * sum_l c_l T_l, from the triple products T_l,ij of the cosine modes.
+Loads are assembled for a whole time grid at once.
 """
 
 from __future__ import annotations
@@ -123,6 +126,25 @@ def _weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.swapaxes(-1, -2))
 
 
+def _triple_products(basis: SpectralBasis) -> np.ndarray:
+    """Triple products T[l, i*n + j] = integral of w_i w_j w_l, in closed form.
+
+    cos A cos B cos C is a quarter of the sum of cos(A + B + C), cos(A + B - C),
+    cos(A - B + C) and cos(-A + B + C), so the integral over [0, L] is
+    (L/4) N_i N_j N_l times the number of the conditions i + j + l = 0,
+    i + j = l, i + l = j, j + l = i that hold.  The mass of sum_l c_l w_l is
+    ``(c @ T).reshape(n, n)``, a Toeplitz-plus-Hankel matrix in c.  Rows are
+    exactly symmetric in (i, j); the array holds n**3 doubles.
+    """
+    n = basis.n
+    index = np.arange(n)
+    l, i, j = index[:, None, None], index[None, :, None], index[None, None, :]
+    count = (l + i + j == 0).astype(float) + (i + j == l) + (i + l == j) + (j + l == i)
+    norm = basis.normalizations
+    pair = norm[:, None] * norm[None, :]
+    return (0.25 * basis.length * count * (norm[:, None, None] * pair)).reshape(n, n * n)
+
+
 def assemble_stiffness(basis: SpectralBasis, quad: QuadratureRule) -> np.ndarray:
     """Stiffness K_ij = integral of w_i' w_j' (diag of eigenvalues to roundoff)."""
     return _weighted_gram(mode_matrix(basis, quad.nodes, deriv=1), quad.weights)
@@ -166,6 +188,10 @@ class TimeVaryingMass:
         return self._rows[..., m, :]
 
     def matrix(self, m: int) -> np.ndarray:
+        """M(t_m), one per member; every mass of a run is built through here."""
+        return self._assemble(m)
+
+    def _assemble(self, m: int) -> np.ndarray:
         return _weighted_gram(self._modes, self.quad.weights * self.alpha_values(m))
 
     def changed_rows(self) -> np.ndarray:
@@ -188,10 +214,14 @@ class _FrozenMass(TimeVaryingMass):
     """Masses of a batch of Picard iterates, alpha frozen at the previous iterates.
 
     ``velocity[b, m]`` holds the psi_t coefficients of member b's previous
-    iterate at grid time m, and ``k[b, 0]`` its nonlinearity; alpha is
-    clamp_h(psi_t, k) or 1 - 2k*psi_t (``_frozen_coefficient``).  Each step's
-    rows are formed when asked for, so no alpha grid is stored, and a row
-    counts as changed wherever psi_t changes.
+    iterate at grid time m, and ``k[b, 0]`` its nonlinearity.  With
+    ``products`` from ``_triple_products`` the coefficient is the unclamped
+    1 - 2k*psi_t and each mass is exact in closed form,
+    I - 2k * (c @ T).reshape(n, n), with no quadrature; zero velocity or
+    k = 0 gives I exactly.  With ``products`` None it is clamp_h(psi_t, k),
+    whose masses are quadrature Grams of rows formed when asked for.  Either
+    way no alpha grid is stored, and a row counts as changed wherever psi_t
+    changes.
     """
 
     def __init__(
@@ -200,15 +230,23 @@ class _FrozenMass(TimeVaryingMass):
         quad: QuadratureRule,
         velocity: np.ndarray,
         k: np.ndarray,
-        clamped: bool,
+        products: np.ndarray | None,
     ):
         super().__init__(basis, quad, velocity)
         self._k = k
-        self._clamped = clamped
+        self._products = products
 
     def alpha_values(self, m: int) -> np.ndarray:
         velocity = (self._rows[:, m, None, :] @ self._modes)[:, 0]
-        return _frozen_coefficient(velocity, self._k, self._clamped)
+        return _frozen_coefficient(velocity, self._k, self._products is None)
+
+    def _assemble(self, m: int) -> np.ndarray:
+        if self._products is None:
+            return super()._assemble(m)
+        count, n = self._rows.shape[0], self._rows.shape[-1]
+        # a stacked [B, 1, n] @ [n, n*n] product gives each member the bits of a lone run
+        products = (self._rows[:, m, None, :] @ self._products).reshape(count, n, n)
+        return np.eye(n) - 2.0 * self._k[:, :, None] * products
 
     def head(self, count: int) -> "_FrozenMass":
         head = super().head(count)

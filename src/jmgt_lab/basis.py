@@ -26,9 +26,10 @@ __all__ = [
     "project",
 ]
 
-#: Nodes per Gauss-Legendre panel.  With panels chosen so that the worst mode
-#: product oscillates at most ~16*pi radians per panel, the Gram identity
-#: holds to machine precision for any mode count.
+#: Nodes per Gauss-Legendre panel.  With panels chosen so that the worst product
+#: of two modes oscillates at most ~16*pi radians per panel, the Gram identity
+#: holds to machine precision for any mode count.  Products of three modes
+#: oscillate up to 1.5 times faster and are not resolved to roundoff.
 _PANEL_POINTS = 32
 
 
@@ -76,9 +77,12 @@ class SpectralBasis:
 def build_quadrature(length: float, min_points: int) -> QuadratureRule:
     """Composite Gauss-Legendre rule with at least ``min_points`` nodes.
 
-    Nodes are grouped into panels of at most 32 points; the panel width keeps
-    the worst oscillation of a product of two basis modes small enough that
-    the rule is exact to roundoff for the assembly integrals.
+    Nodes are grouped into panels of at most 32 points; with at least 4n
+    nodes the panel width keeps the worst oscillation of a product of two of
+    n basis modes small enough that the rule is exact to roundoff for pair
+    integrals (stiffness, loads, Gram identity).  A mass of a coefficient
+    carrying all n modes is a triple product and needs a finer rule (about
+    16n nodes) to reach roundoff; the Picard masses avoid it by a closed form.
     """
     if not length > 0.0:
         raise ValueError(f"interval length must be positive, got {length}")

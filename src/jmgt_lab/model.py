@@ -191,8 +191,8 @@ class SolverConfig:
     exactly at the horizon.  ``quad_points`` and ``eval_grid`` may be
     omitted; they then default to 4 * n_modes quadrature nodes and
     8 * n_modes spatial sample points, the smallest counts that resolve every
-    mode product and mode extremum used in the checks.  ``eval_grid`` samples
-    both ends of the interval, so it is at least 2.
+    product of two modes and every mode extremum used in the checks.
+    ``eval_grid`` samples both ends of the interval, so it is at least 2.
     """
 
     dt: float

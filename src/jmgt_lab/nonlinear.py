@@ -5,12 +5,13 @@ the coefficient 1 - 2k*psi_t (or its clamped relaxation) at the previous
 iterate, re-solve the linear problem on [0, T], and measure the difference in
 the energy norm in which the underlying map contracts for small data.  One
 driver serves every variant, and the variant alone picks the system, the
-clamp and the degeneracy guard.  A run assembles its loads once; each
-iterate's alpha is built step by step from the previous iterate's psi_t
-coefficients and the mode values at the quadrature nodes.  Runs that share
-basis, grid and drive (the tau-members of a sweep) iterate in lockstep: one
-batched step loop per round, with failures and warnings reported as if the
-members ran one after another.
+clamp and the degeneracy guard.  A run assembles its loads once, and each
+iterate's masses step by step from the previous iterate's psi_t
+coefficients: in closed form for the unclamped coefficient, from the triple
+products of the modes built once per run, and as quadrature Grams for the
+clamped one.  Runs that share basis, grid and drive (the tau-members of a
+sweep) iterate in lockstep: one batched step loop per round, with failures
+and warnings reported as if the members ran one after another.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import SpaceTimeFn, TimeVaryingMass, _FrozenMass
+from .assembly import SpaceTimeFn, _FrozenMass, _triple_products
 from .basis import SpectralBasis, mode_matrix
 from .energy import AuditMode, energy_lower
 from .exceptions import NonDegeneracyViolated, PicardDivergenceError, SolverFailure
@@ -171,8 +172,9 @@ def _picard_loop(
     one; RELAXED_JMGT clamps alpha, and every other variant is guarded.
     Round r integrates iterate r of every member still iterating in one
     ``_integrate`` call, so one stacked solve per step serves them all; a
-    member leaves the batch once it converges.  Each member's alpha is
-    formed step by step from its previous iterate's psi_t (``_FrozenMass``).
+    member leaves the batch once it converges.  Each member's masses are
+    formed step by step from its previous iterate's psi_t (``_FrozenMass``),
+    and round 1 freezes the zero iterate, so its unclamped masses are I.
     Results, failures and degeneracy warnings are those of running the
     members one after another in ``members`` order: once a member fails, the
     members after it stop and the ones before it run on, and the first
@@ -187,7 +189,10 @@ def _picard_loop(
     states = [_Member(params) for params in members]
     failures: dict[int, SolverFailure] = {}
     active = list(range(len(members)))  # the members iterating this round, in order
-    masses = TimeVaryingMass(basis, quad, np.ones((config.n_steps + 1, quad.count)))
+    products = None if clamped else _triple_products(basis)
+    # round 1 freezes the zero iterate; a broadcast view stores no zero grid
+    zero = np.broadcast_to(0.0, (len(members), config.n_steps + 1, basis.n))
+    masses = _FrozenMass(basis, quad, zero, k, products)
     for iteration in range(1, config.picard_max + 1):
         batch = loads if len(active) == len(members) else loads[active]
         iterates, failure = _integrate(
@@ -211,7 +216,7 @@ def _picard_loop(
         if len(going) < len(velocity):
             velocity = velocity[going]
         active = [active[position] for position in going]
-        masses = _FrozenMass(basis, quad, velocity, k[active], clamped)
+        masses = _FrozenMass(basis, quad, velocity, k[active], products)
     else:
         for member in active:
             failures[member] = PicardDivergenceError(

@@ -27,7 +27,13 @@ from jmgt_lab import (
     signal_eval,
     trace_vector,
 )
-from jmgt_lab.assembly import assemble_loads, sample_field
+from jmgt_lab.assembly import (
+    _FrozenMass,
+    _triple_products,
+    _weighted_gram,
+    assemble_loads,
+    sample_field,
+)
 from jmgt_lab.exceptions import CompatibilityError
 
 from helpers import fd_weights
@@ -129,6 +135,63 @@ class TestMass:
         alpha = sample_field(field, quad.nodes, np.array([0.0, 0.5]))
         assert alpha.shape == (2, quad.count)
         np.testing.assert_array_equal(alpha, [[2.0] * quad.count, [2.5] * quad.count])
+
+
+class TestClosedFormMass:
+    """The closed-form Picard mass I - 2k * (c @ T) against a fine quadrature Gram."""
+
+    LENGTH = 2.0
+    K = np.array([[0.4], [0.1], [0.0]])
+
+    def frozen(self, n, velocity, k=K):
+        basis = build_basis(self.LENGTH, n)
+        quad = build_quadrature(self.LENGTH, 4 * n)
+        return basis, _FrozenMass(basis, quad, velocity, k, _triple_products(basis))
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 33])
+    def test_matches_a_fine_quadrature_gram(self, n):
+        # On these non-decaying coefficients the default 4n-node rule is itself off by
+        # 1.1e-12 at n = 16 and 1.2e-11 at n = 33 (it is sized for pair products, and
+        # triple products oscillate faster), so the oracle is a 16n-node rule.
+        velocity = np.random.default_rng(n).standard_normal((3, 4, n))
+        basis, masses = self.frozen(n, velocity)
+        fine = build_quadrature(self.LENGTH, 16 * n)
+        modes = mode_matrix(basis, fine.nodes)
+        for m in range(4):
+            closed = masses.matrix(m)
+            alpha = 1.0 - 2.0 * self.K * (velocity[:, m] @ modes)
+            oracle = _weighted_gram(modes, fine.weights * alpha)
+            for member in range(3):
+                scale = np.abs(closed[member]).max()
+                assert np.abs(closed[member] - oracle[member]).max() <= 1e-13 * scale
+
+    def test_exactly_symmetric(self):
+        velocity = np.random.default_rng(5).standard_normal((3, 2, 16))
+        _, masses = self.frozen(16, velocity)
+        for mass in masses.matrix(1):
+            assert np.array_equal(mass, mass.T)
+
+    def test_identity_at_zero_velocity_or_zero_k(self):
+        # the Picard driver's round 1 passes a broadcast zero view
+        _, zero = self.frozen(16, np.broadcast_to(0.0, (3, 2, 16)))
+        assert np.array_equal(zero.matrix(1), np.broadcast_to(np.eye(16), (3, 16, 16)))
+        velocity = np.random.default_rng(6).standard_normal((3, 2, 16))
+        _, masses = self.frozen(16, velocity)
+        assert np.array_equal(masses.matrix(1)[2], np.eye(16))
+
+    def test_batch_member_equals_its_lone_mass(self):
+        velocity = np.random.default_rng(7).standard_normal((3, 5, 16))
+        _, batch = self.frozen(16, velocity)
+        for member in range(3):
+            _, lone = self.frozen(16, velocity[member : member + 1], self.K[member : member + 1])
+            for m in range(5):
+                assert np.array_equal(batch.matrix(m)[member], lone.matrix(m)[0])
+
+    def test_constant_mode_product_is_the_scaled_identity(self):
+        # w_0 = 1/sqrt(L), so T_0 = I/sqrt(L)
+        basis = build_basis(self.LENGTH, 7)
+        first = _triple_products(basis)[0].reshape(7, 7)
+        np.testing.assert_allclose(first, np.eye(7) / math.sqrt(self.LENGTH), rtol=1e-15, atol=0.0)
 
 
 class TestBoundary:

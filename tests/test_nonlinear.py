@@ -405,20 +405,35 @@ class TestArrayPicard:
 
     @pytest.mark.parametrize("bc", list(BoundaryKind), ids=lambda bc: bc.value)
     @pytest.mark.parametrize("variant", list(NonlinearVariant), ids=lambda v: v.value)
-    def test_bit_identical_to_the_callable_loop(self, variant, bc):
+    def test_matches_the_callable_loop(self, variant, bc):
+        # Both paths build the clamped masses as quadrature Grams, so the relaxed run
+        # is bit-identical.  The unclamped masses are closed form in the solver and
+        # quadrature Grams of the callable field here: equal to roundoff, within the
+        # 1e-12 relative allowance for reordered floating-point work.
         basis, params, source, sig, config = self.setup(bc)
         traj, report = solve_jmgt(params, basis, source, sig, config, bc, variant)
         expected, differences, norms = callable_picard(
             params, basis, source, sig, config, bc, variant
         )
-        for name in ("times", "coeff", "coeff_t", "coeff_tt"):
-            assert np.array_equal(getattr(traj, name), getattr(expected, name)), name
+        names = ["times", "coeff", "coeff_t", "coeff_tt"]
         if variant is NonlinearVariant.WESTERVELT:
             assert traj.coeff_ttt is None and expected.coeff_ttt is None
         else:
-            assert np.array_equal(traj.coeff_ttt, expected.coeff_ttt)
-        assert report.differences == differences
-        assert report.iterate_norms == norms
+            names.append("coeff_ttt")
+        if variant is NonlinearVariant.RELAXED_JMGT:
+            for name in names:
+                assert np.array_equal(getattr(traj, name), getattr(expected, name)), name
+            assert report.differences == differences
+            assert report.iterate_norms == norms
+            return
+        for name in names:
+            got, want = getattr(traj, name), getattr(expected, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+        assert report.iterations == len(differences)
+        np.testing.assert_allclose(report.iterate_norms, norms, rtol=1e-12, atol=0.0)
+        # a difference near picard_tol moves by the roundoff floor of the iterates
+        scale = 1e-12 * max(norms)
+        np.testing.assert_allclose(report.differences, differences, rtol=0.0, atol=scale)
 
     def test_one_load_assembly_per_run(self, monkeypatch):
         calls = []

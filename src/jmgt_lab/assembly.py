@@ -11,7 +11,6 @@ Loads are assembled for a whole time grid at once.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -175,7 +174,7 @@ class TimeVaryingMass:
 
     ``alpha[..., m, :]`` holds alpha(., t_m) at the quadrature nodes, behind an
     optional leading member axis; ``matrix(m)`` and ``alpha_values(m)`` index
-    by step.  Without a member axis every member shares the one coefficient.
+    by step.  A member axis of length 1 is one coefficient shared by a batch.
     """
 
     def __init__(self, basis: SpectralBasis, quad: QuadratureRule, alpha: np.ndarray):
@@ -201,13 +200,6 @@ class TimeVaryingMass:
         """
         differs = self._rows[..., 2:, :] != self._rows[..., 1:-1, :]
         return np.any(differs, axis=(*range(differs.ndim - 2), -1))
-
-    def head(self, count: int) -> "TimeVaryingMass":
-        """The masses of the first ``count`` members."""
-        head = copy.copy(self)
-        if self._rows.ndim == 3:
-            head._rows = self._rows[:count]
-        return head
 
 
 class _FrozenMass(TimeVaryingMass):
@@ -247,11 +239,6 @@ class _FrozenMass(TimeVaryingMass):
         # a stacked [B, 1, n] @ [n, n*n] product gives each member the bits of a lone run
         products = (self._rows[:, m, None, :] @ self._products).reshape(count, n, n)
         return np.eye(n) - 2.0 * self._k[:, :, None] * products
-
-    def head(self, count: int) -> "_FrozenMass":
-        head = super().head(count)
-        head._k = self._k[:count]
-        return head
 
 
 def assemble_loads(

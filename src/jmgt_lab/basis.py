@@ -110,10 +110,9 @@ def build_basis(length: float, n: int) -> SpectralBasis:
 
 
 def mode_matrix(basis: SpectralBasis, x: np.ndarray, deriv: int = 0) -> np.ndarray:
-    """Values of all modes (or a derivative) at the points ``x``.
+    """Values of all modes (or their first derivatives) at the points ``x``.
 
-    Returns an (n, len(x)) array; row i holds w_i, w_i' or w_i'' at the
-    points.  The second derivative uses the eigenrelation w'' = -lambda * w.
+    Returns an (n, len(x)) array; row i holds w_i or w_i' at the points.
     """
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     kappa = basis.wavenumbers
@@ -123,9 +122,7 @@ def mode_matrix(basis: SpectralBasis, x: np.ndarray, deriv: int = 0) -> np.ndarr
         return norm * np.cos(phase)
     if deriv == 1:
         return -norm * kappa[:, None] * np.sin(phase)
-    if deriv == 2:
-        return -basis.eigenvalues[:, None] * norm * np.cos(phase)
-    raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
+    raise ValueError(f"deriv must be 0 or 1, got {deriv}")
 
 
 def trace_vector(basis: SpectralBasis, end: End) -> np.ndarray:

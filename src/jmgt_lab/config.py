@@ -28,7 +28,7 @@ _SCHEMA: dict[str, dict[str, str]] = {
     },
     "discretization": {
         "dt": "float", "t_final": "float", "n_modes": "int", "length": "float",
-        "quad_points": "int", "picard_tol": "float", "picard_max": "int", "eval_grid": "int",
+        "picard_tol": "float", "picard_max": "int",
     },
     "experiment": {"variant": "str", "bc": "str", "tau_sweep": "float_list", "mms_levels": "int"},
 }
@@ -42,7 +42,7 @@ _DEFAULTS = {
 }
 
 #: keys a file may omit; an omitted dataclass key takes the dataclass default
-_OPTIONAL = {"quad_points", "picard_tol", "picard_max", "eval_grid", *_DEFAULTS}
+_OPTIONAL = {"picard_tol", "picard_max", *_DEFAULTS}
 
 
 @dataclass

@@ -175,11 +175,10 @@ def _integrate(
 
     The members of a batch share basis, quadrature, time grid and boundary
     kind, and are stepped together.  Member b has parameters ``members[b]``,
-    its masses in ``masses`` (member axis first) and its load ``loads[b, m]``
+    its masses in ``masses`` (member axis first; the first ``B`` members are
+    read, and a member axis of 1 is shared by all) and its load ``loads[b, m]``
     at grid time m.  Each step makes one stacked solve.  Every number of a
     member has the bits of a lone run of it, and B = 1 is the single run.
-    The trajectories returned are views of one derivative stack of shape
-    ``[order + 1, B, steps + 1, n]``.
 
     The stored derivatives are xi and its first ``order - 1`` time
     derivatives, and the highest of them is the unknown of each step.  With
@@ -249,7 +248,7 @@ def _integrate(
             hist = 2.0 * derivs[:order, :, m] - 0.5 * derivs[:order, :, m - 1]
         s, gains, fixed, inertia_term = plans[min(m, 1)]
         if m == 0 or changed[m - 1]:
-            np.add(masses.matrix(m + 1), acc_extra, out=coefficients[2])
+            np.add(masses.matrix(m + 1)[:count], acc_extra, out=coefficients[2])
         if m < 2 or changed[m - 1]:
             matrix = fixed + gains[2] * coefficients[2]
             if inertia_term is not None:
@@ -269,8 +268,7 @@ def _integrate(
                     if member == 0:
                         return [], failure
                     survivors, earlier = _integrate(
-                        order, members[:member], basis, quad, masses.head(member),
-                        loads[:member], config, bc,
+                        order, members[:member], basis, quad, masses, loads[:member], config, bc
                     )
                     return survivors, failure if earlier is None else earlier
             raise
@@ -307,7 +305,8 @@ def _solve_linear(
     one after another.
     """
     members, quad, loads = _prepare_data(order, members, basis, f, g, config, bc)
-    masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, config.times))
+    # one shared coefficient: a member axis of 1 broadcasts over the batch
+    masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, config.times)[None])
     trajectories, failure = _integrate(order, members, basis, quad, masses, loads, config, bc)
     if failure is not None:
         raise failure

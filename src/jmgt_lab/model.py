@@ -27,8 +27,9 @@ __all__ = [
     "MAX_SIGNAL_ORDER",
 ]
 
-#: Highest time-derivative order of the boundary signal used anywhere in the
-#: energy audits (the mixed-boundary bundle needs the fourth derivative).
+#: Highest time-derivative order that ``signal_eval`` supports.  No src path goes
+#: above order 3 (the data norms and the homogenized forcing use orders 0-3); the
+#: fourth derivative is the last one that an onset power of 5 makes vanish at t = 0.
 MAX_SIGNAL_ORDER = 4
 
 
@@ -188,20 +189,19 @@ class SolverConfig:
 
     ``dt``, ``t_final`` and ``picard_tol`` are finite and positive, and
     ``dt`` must divide ``t_final`` (to a relative 1e-9), so the grid ends
-    exactly at the horizon.  ``quad_points`` and ``eval_grid`` may be
-    omitted; they then default to 4 * n_modes quadrature nodes and
-    8 * n_modes spatial sample points, the smallest counts that resolve every
-    product of two modes and every mode extremum used in the checks.
-    ``eval_grid`` samples both ends of the interval, so it is at least 2.
+    exactly at the horizon.  The sizes that follow from ``n_modes`` are
+    derived, so ``dataclasses.replace`` with a new ``n_modes`` carries them
+    along: ``quad_points`` = 4 * n_modes quadrature nodes and ``eval_grid``
+    = 8 * n_modes spatial sample points, the fewest that integrate every
+    product of two modes to roundoff and that resolve every mode extremum
+    used in the checks.
     """
 
     dt: float
     t_final: float
     n_modes: int
-    quad_points: int | None = None
     picard_tol: float = 1e-8
     picard_max: int = 25
-    eval_grid: int | None = None
 
     def __post_init__(self):
         # the rules that compare dt with t_final wait until t_final passes its own
@@ -209,18 +209,8 @@ class SolverConfig:
         ratio = self.t_final / self.dt if 0.0 < self.dt < self.t_final < math.inf else 1.0
         divides = math.isfinite(ratio) and not abs(ratio - round(ratio)) > 1e-9 * ratio
         # the count fields are integers (a bool is not one); their bounds are checked on
-        # integers only, and the quad_points bound waits until n_modes passes its rules
-        whole = {
-            "n_modes": _is_integer(self.n_modes),
-            "quad_points": self.quad_points is None or _is_integer(self.quad_points),
-            "picard_max": _is_integer(self.picard_max),
-            "eval_grid": self.eval_grid is None or _is_integer(self.eval_grid),
-        }
-        quad_min = 4 * self.n_modes if whole["n_modes"] else None
-        quad_ok = quad_min is None or self.quad_points is None or (
-            whole["quad_points"] and self.quad_points >= quad_min
-        )
-        eval_ok = self.eval_grid is None or (whole["eval_grid"] and self.eval_grid >= 2)
+        # integers only
+        whole = {"n_modes": _is_integer(self.n_modes), "picard_max": _is_integer(self.picard_max)}
         _check_fields(
             self,
             [
@@ -230,16 +220,20 @@ class SolverConfig:
                 ("t_final", self.t_final > 0.0, "must be positive"),
                 *[(name, ok, "must be an integer") for name, ok in whole.items()],
                 ("n_modes", whole["n_modes"] and self.n_modes >= 1, "must be at least 1"),
-                ("quad_points", quad_ok, f"must be at least 4 * n_modes = {quad_min}"),
                 ("picard_tol", self.picard_tol > 0.0, "must be positive"),
                 ("picard_max", whole["picard_max"] and self.picard_max >= 1, "must be at least 1"),
-                ("eval_grid", eval_ok, "must be at least 2"),
             ],
         )
-        if self.quad_points is None:
-            object.__setattr__(self, "quad_points", quad_min)
-        if self.eval_grid is None:
-            object.__setattr__(self, "eval_grid", 8 * self.n_modes)
+
+    @property
+    def quad_points(self) -> int:
+        """Quadrature nodes of a run, 4 * n_modes."""
+        return 4 * self.n_modes
+
+    @property
+    def eval_grid(self) -> int:
+        """Spatial sample points of the degeneracy margin, 8 * n_modes (both ends included)."""
+        return 8 * self.n_modes
 
     @property
     def n_steps(self) -> int:

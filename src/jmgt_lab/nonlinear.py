@@ -211,10 +211,7 @@ def _picard_loop(
         going = [position for position in going if active[position] < first_failure]
         if not going:
             break
-        # the round's iterates are views of one derivative stack (see _integrate)
-        velocity = iterates[0].coeff_t.base[1]
-        if len(going) < len(velocity):
-            velocity = velocity[going]
+        velocity = np.stack([iterates[position].coeff_t for position in going])
         active = [active[position] for position in going]
         masses = _FrozenMass(basis, quad, velocity, k[active], products)
     else:

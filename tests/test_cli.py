@@ -134,13 +134,14 @@ class TestParsing:
         (message,) = info.value.errors
         assert "tau_sweep must list at least one tau" in message
 
-    def test_single_point_eval_grid_rejected(self):
-        # the degeneracy grid samples both interval ends
-        text = BASE_CONFIG.replace("n_modes = 6", "n_modes = 6\neval_grid = 1")
+    @pytest.mark.parametrize("key", ["quad_points", "eval_grid"])
+    def test_derived_size_key_is_unknown(self, key):
+        # both sizes follow from n_modes, so a file cannot set them
+        text = BASE_CONFIG.replace("n_modes = 6", f"n_modes = 6\n{key} = 64")
+        line = text.splitlines().index(f"{key} = 64") + 1
         with pytest.raises(ConfigFileError) as info:
             parse_config_text(text)
-        (message,) = info.value.errors
-        assert "eval_grid must be at least 2" in message
+        assert info.value.errors == [f"line {line}: unknown key {key!r} in [discretization]"]
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# preamble\n" + BASE_CONFIG.replace(

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from jmgt_lab import BoundaryKind
-from jmgt_lab.config import parse_config_text
+from jmgt_lab.config import _SCHEMA, parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -34,6 +34,17 @@ def test_ini_block_parses_without_warnings():
     assert config.bc is BoundaryKind.PURE_NEUMANN
     assert config.tau_sweep == (0.1, 0.03, 0.01)
     assert config.mms_levels == 3
+
+
+def test_ini_block_names_every_key_the_parser_accepts():
+    documented: dict[str, list[str]] = {}
+    for line in fenced_block("ini").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            keys = documented.setdefault(line.strip("[]"), [])
+        elif line:
+            keys.append(line.split("=", 1)[0].strip())
+    assert documented == {section: list(keys) for section, keys in _SCHEMA.items()}
 
 
 def test_python_block_runs(capsys):

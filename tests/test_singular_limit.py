@@ -108,3 +108,17 @@ def test_contraction_factor_is_uniform_in_tau(amplitude):
     gaps = [abs(factor - westervelt) for factor in factors]
     assert all(fine < coarse for coarse, fine in zip(gaps, gaps[1:])), gaps
     assert factors[-1] == pytest.approx(westervelt, rel=1e-2)
+
+
+def test_normalized_error_converges_in_n_modes():
+    # the limit table is resolved in space: each doubling of n_modes shrinks the change
+    # of energy_error / tau about 9x (third order)
+    config = parse_config_text(CONFIG.format(dt=0.01, amplitude=0.5))
+    ratios = []
+    for n_modes in (8, 16, 32, 64):
+        study = replace(config, solver=replace(config.solver, n_modes=n_modes), tau_sweep=(0.01,))
+        (row,) = limit_study(study)[0].rows
+        ratios.append(row.energy_error / row.tau)
+    assert ratios == pytest.approx([0.46998, 0.47329, 0.47361, 0.47365], rel=1e-4)
+    changes = [abs(fine - coarse) for coarse, fine in zip(ratios, ratios[1:])]
+    assert all(fine < coarse / 5 for coarse, fine in zip(changes, changes[1:])), ratios

@@ -41,7 +41,6 @@ from .energy import (
     data_norms,
     energy_higher,
     energy_lower,
-    ode_residual_z,
 )
 from .exceptions import (
     CompatibilityError,
@@ -57,6 +56,7 @@ from .exceptions import (
 )
 from .integrate import (
     Trajectory,
+    ode_residual_z,
     recover_third,
     solve_smgt_linear,
     solve_westervelt_linearized,

@@ -14,6 +14,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -349,6 +350,8 @@ def run(
     Returns the process exit code.  Every solve finishes before any artifact
     is written; on solver failure only report.csv is written, describing the
     failure.  ``out_dir`` is created only when a file is written into it.
+    Each warning of the solve, repeats included, goes to stderr as one
+    ``warning: <message>`` line.
     """
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
@@ -361,29 +364,32 @@ def run(
 
     basis = build_basis(config.length, config.solver.n_modes)
     try:
-        if subcommand in _SOLVE_VARIANTS:
-            traj, energies, table = _single_run(subcommand, config, basis)
-            header = ["section", "key", "value"]
-            summary = f"{traj.n_steps} steps"
-        elif subcommand == "limit-study":
-            result, traj = limit_study(config)
-            energies = _energies(traj, basis)
-            header = [f.name for f in fields(LimitRow)]
-            header += ["reference_iterations", "reference_margin"]
-            reference = [result.reference_iterations, result.reference_margin]
-            table = [[*astuple(row), *reference] for row in result.rows]
-            summary = f"{len(result.rows)} sweep members"
-        elif subcommand == "energy-audit":
-            taus = (config.params.tau,) if config.tau_sweep is None else config.tau_sweep
-            traj, energies, table = _energy_audit(config, basis, taus)
-            header = ["tau", "mode", "lhs", "rhs", "ratio", "log_constant", "flags"]
-            summary = f"{len(taus)} run(s)"
-        else:
-            rows, traj = mms_study(config)
-            energies = _energies(traj, basis)
-            header = [f.name for f in fields(MmsRow)]
-            table = [astuple(row) for row in rows]
-            summary = f"{len(rows)} rows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", RuntimeWarning)
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            if subcommand in _SOLVE_VARIANTS:
+                traj, energies, table = _single_run(subcommand, config, basis)
+                header = ["section", "key", "value"]
+                summary = f"{traj.n_steps} steps"
+            elif subcommand == "limit-study":
+                result, traj = limit_study(config)
+                energies = _energies(traj, basis)
+                header = [f.name for f in fields(LimitRow)]
+                header += ["reference_iterations", "reference_margin"]
+                reference = [result.reference_iterations, result.reference_margin]
+                table = [[*astuple(row), *reference] for row in result.rows]
+                summary = f"{len(result.rows)} sweep members"
+            elif subcommand == "energy-audit":
+                taus = (config.params.tau,) if config.tau_sweep is None else config.tau_sweep
+                traj, energies, table = _energy_audit(config, basis, taus)
+                header = ["tau", "mode", "lhs", "rhs", "ratio", "log_constant", "flags"]
+                summary = f"{len(taus)} run(s)"
+            else:
+                rows, traj = mms_study(config)
+                energies = _energies(traj, basis)
+                header = [f.name for f in fields(MmsRow)]
+                table = [astuple(row) for row in rows]
+                summary = f"{len(rows)} rows"
     except SolverFailure as exc:
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(report_path, ["section", "key", "value"], _failure_rows(exc))

@@ -1,4 +1,4 @@
-"""Energy functionals, data norms, estimate audits, and the z-ODE diagnostic.
+"""Energy functionals, data norms and estimate audits.
 
 All time integrals use the composite trapezoid rule on the trajectory grid
 and all sup norms are maxima over stored steps, matching the accuracy order
@@ -14,15 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assembly import (
-    CoefficientField,
-    SpaceTimeFn,
-    TimeVaryingMass,
-    assemble_boundary,
-    assemble_loads,
-    sample_field,
-)
-from .basis import End, SpectralBasis, build_quadrature, trace_vector
+from .basis import End, SpectralBasis, trace_vector
 from .exceptions import InconsistentEnergyError
 from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal, signal_eval
 
@@ -40,7 +32,6 @@ __all__ = [
     "boundary_flux",
     "data_norms",
     "audit_estimate",
-    "ode_residual_z",
     "trapezoid_total",
     "trapezoid_running",
 ]
@@ -343,54 +334,3 @@ def audit_estimate(energy: EnergyRecord, data: DataNorms, mode: AuditMode) -> Au
         log_constant=log_constant,
         flags=tuple(flags),
     )
-
-
-def ode_residual_z(
-    traj: "Trajectory",
-    basis: SpectralBasis,
-    field: CoefficientField,
-    f: SpaceTimeFn | None = None,
-    g: WindowedSignal | None = None,
-) -> np.ndarray:
-    """Residual of the first-order ODE satisfied by z = -Delta psi + psi.
-
-    In coefficient space z_i = (1 + lambda_i) xi_i and the stored trajectory
-    should satisfy  z_t = -(c2/b) z + (1/b)(F - tau*psi_ttt - alpha*psi_tt
-    + b*psi_t + c2*psi), where F is the trajectory's actual equation forcing
-    (interior source plus boundary-data term, minus the absorbing-end terms
-    in mixed mode).  z_t is taken by first-order finite differences, so the
-    returned per-step max-abs residual decays at first order in dt.
-    """
-    params = traj.params
-    if params.tau <= 0.0:
-        raise ValueError("the z-ODE diagnostic requires tau > 0")
-    quad = build_quadrature(basis.length, 4 * basis.n)
-    lam = basis.eigenvalues
-    dt = traj.dt
-    b = params.b
-
-    masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, traj.times))
-    loads = assemble_loads(basis, quad, f, g, params, traj.times)
-    boundary = assemble_boundary(basis, End.RIGHT) if traj.bc is BoundaryKind.MIXED else None
-
-    z = (1.0 + lam) * traj.coeff
-    z_rate = np.empty_like(z)
-    z_rate[:-1] = (z[1:] - z[:-1]) / dt
-    z_rate[-1] = (z[-1] - z[-2]) / dt
-
-    residual_max = np.empty(len(loads))
-    for m, load in enumerate(loads):
-        if boundary is not None:
-            load = load - params.beta * (
-                b * (boundary @ traj.coeff_tt[m]) + params.c2 * (boundary @ traj.coeff_t[m])
-            )
-        forcing = (
-            load
-            - params.tau * traj.coeff_ttt[m]
-            - masses.matrix(m) @ traj.coeff_tt[m]
-            + b * traj.coeff_t[m]
-            + params.c2 * traj.coeff[m]
-        ) / b
-        residual = z_rate[m] + (params.c2 / b) * z[m] - forcing
-        residual_max[m] = float(np.abs(residual).max())
-    return residual_max

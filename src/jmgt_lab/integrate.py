@@ -38,6 +38,7 @@ __all__ = [
     "solve_smgt_linear",
     "solve_westervelt_linearized",
     "recover_third",
+    "ode_residual_z",
 ]
 
 
@@ -102,7 +103,8 @@ def recover_third(
     Rearranges tau*xi''' + (M + b*beta*B)xi'' + (b*K + c2*beta*B)xi' +
     c2*K*xi = F at one time level; ``boundary`` is the rank-one trace matrix
     of the absorbing end (None under pure Neumann conditions).  The solvers
-    do not call it: it is the independent check of their stored ``coeff_ttt``.
+    do not call it: it is the independent check of their stored ``coeff_ttt``,
+    and ``ode_residual_z`` reads the balance through it.
     """
     if params.tau <= 0.0:
         raise ValueError("third-derivative recovery requires tau > 0")
@@ -117,6 +119,47 @@ def recover_third(
             params.b * (boundary @ xi_tt) + params.c2 * (boundary @ xi_t)
         )
     return residual / params.tau
+
+
+def ode_residual_z(
+    traj: Trajectory,
+    basis: SpectralBasis,
+    field: CoefficientField,
+    f: SpaceTimeFn | None = None,
+    g: WindowedSignal | None = None,
+) -> np.ndarray:
+    """Per-step max-abs residual of the first-order ODE satisfied by z = -Delta psi + psi.
+
+    In coefficient space z_i = (1 + lambda_i) xi_i, and the momentum balance
+    with K = diag(lambda) reads z_t + (c2/b) z = (1/b)(F - tau*psi_ttt -
+    alpha*psi_tt + b*psi_t + c2*psi), where F is the trajectory's actual
+    forcing (interior source plus boundary-data term, minus the absorbing-end
+    terms in mixed mode).  With R the third derivative that ``recover_third``
+    reads from the stored state under ``field``, the residual is
+    (1 + lambda)(D xi - xi_t) + (tau/b)(xi_ttt - R), where D is the
+    first-order forward difference (backward at the last step), so it decays
+    at first order in dt.
+    """
+    params = traj.params
+    if params.tau <= 0.0:
+        raise ValueError("the z-ODE diagnostic requires tau > 0")
+    quad = build_quadrature(basis.length, 4 * basis.n)
+    masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, traj.times))
+    loads = assemble_loads(basis, quad, f, g, params, traj.times)
+    boundary = assemble_boundary(basis, End.RIGHT) if traj.bc is BoundaryKind.MIXED else None
+    stiffness = np.diag(basis.eigenvalues)
+    # each state is (load, xi, xi', xi'') at one grid time
+    states = zip(loads, traj.coeff, traj.coeff_t, traj.coeff_tt)
+    third = np.array([
+        recover_third(params, stiffness, masses.matrix(m), *state, boundary)
+        for m, state in enumerate(states)
+    ])
+    rate = np.empty_like(traj.coeff)
+    rate[:-1] = np.diff(traj.coeff, axis=0) / traj.dt
+    rate[-1] = rate[-2]
+    residual = (1.0 + basis.eigenvalues) * (rate - traj.coeff_t)
+    residual += (params.tau / params.b) * (traj.coeff_ttt - third)
+    return np.abs(residual).max(axis=1)
 
 
 def _prepare_data(

@@ -3,9 +3,51 @@ and fixture builders."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from jmgt_lab import BoundaryKind, Trajectory
+from jmgt_lab import (
+    BoundaryKind,
+    End,
+    SolverConfig,
+    Trajectory,
+    assemble_boundary,
+    assemble_load,
+    assemble_mass,
+    build_basis,
+    build_quadrature,
+    constant_field,
+    solve_smgt_linear,
+)
+
+
+#: The criterion-05 limit study (the seed-0 benchmark config) with the drive raised to 4.
+AMPLITUDE_FOUR_STUDY = """\
+[model]
+c2 = 1.0
+delta = 1.0
+tau = 0.1
+k = 0.4
+beta = 0.0
+
+[signal]
+amplitude = 4.0
+frequency = 2.0
+onset_power = 5
+decay_rate = 2.0
+
+[discretization]
+dt = 0.005
+t_final = 2.0
+n_modes = 16
+picard_tol = 1e-10
+picard_max = 30
+
+[experiment]
+bc = neumann
+tau_sweep = 0.1, 0.03, 0.01, 0.003, 0.001
+"""
 
 
 def zero_trajectory(params, basis, config, bc=BoundaryKind.PURE_NEUMANN, with_third=True):
@@ -20,6 +62,53 @@ def zero_trajectory(params, basis, config, bc=BoundaryKind.PURE_NEUMANN, with_th
         bc=bc,
         params=params,
     )
+
+
+def manufactured_run(params, dt, n=8, t_final=1.0):
+    """Third-order run on [0, pi] whose source makes psi = t^3 cos(x) exact."""
+    basis = build_basis(math.pi, n)
+    config = SolverConfig(dt=dt, t_final=t_final, n_modes=n)
+
+    def forcing(x, t):
+        gain = 6.0 * params.tau + 6.0 * t + 3.0 * params.b * t**2 + params.c2 * t**3
+        return gain * np.cos(np.asarray(x, dtype=float))
+
+    traj = solve_smgt_linear(params, basis, constant_field(1.0), forcing, None, config)
+    return basis, traj
+
+
+def z_ode_residual(traj, basis, field, f=None, g=None) -> np.ndarray:
+    """z-ODE residual oracle: the per-step max-abs of z_t + (c2/b) z - forcing.
+
+    z = (1 + lambda) xi is differenced forward in time (backward at the last
+    step), and the forcing (F - tau*xi_ttt - M xi_tt + b*xi_t + c2*xi)/b is
+    written out with the load, mass and absorbing-end matrix assembled anew
+    at every grid time on the 4n-point rule.
+    """
+    params = traj.params
+    b, c2 = params.b, params.c2
+    quad = build_quadrature(basis.length, 4 * basis.n)
+    right = assemble_boundary(basis, End.RIGHT)
+    z = (1.0 + basis.eigenvalues) * traj.coeff
+    z_rate = np.empty_like(z)
+    z_rate[:-1] = (z[1:] - z[:-1]) / traj.dt
+    z_rate[-1] = (z[-1] - z[-2]) / traj.dt
+    maxima = np.empty(len(traj.times))
+    for m, t in enumerate(traj.times):
+        load = assemble_load(basis, quad, f, g, params, t)
+        if traj.bc is BoundaryKind.MIXED:
+            load = load - params.beta * (
+                b * (right @ traj.coeff_tt[m]) + c2 * (right @ traj.coeff_t[m])
+            )
+        forcing = (
+            load
+            - params.tau * traj.coeff_ttt[m]
+            - assemble_mass(basis, quad, field, t) @ traj.coeff_tt[m]
+            + b * traj.coeff_t[m]
+            + c2 * traj.coeff[m]
+        ) / b
+        maxima[m] = np.abs(z_rate[m] + (c2 / b) * z[m] - forcing).max()
+    return maxima
 
 
 def fd_weights(center: float, nodes: np.ndarray, order: int) -> np.ndarray:

@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +16,7 @@ from jmgt_lab import (
 )
 from jmgt_lab.cli import main, mms_study, limit_study, run
 from jmgt_lab.config import parse_config, parse_config_text
+from helpers import AMPLITUDE_FOUR_STUDY
 
 BASE_CONFIG = """\
 [model]
@@ -446,7 +446,7 @@ class TestSweepBatches:
             for name in ("coeff", "coeff_t", "coeff_tt", "coeff_ttt"):
                 assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
 
-    def test_amplitude_four_study_stops_at_its_second_member(self, tmp_path, monkeypatch):
+    def test_amplitude_four_study_stops_at_its_second_member(self, tmp_path, monkeypatch, capsys):
         # the criterion-05 study at amplitude 4: tau = 0.03 loses positivity at iteration 4,
         # so the study never runs tau <= 0.01 (tau = 1e-3 would warn with margin 0.000828)
         batch_sizes = []
@@ -461,9 +461,7 @@ class TestSweepBatches:
         path = tmp_path / "study.cfg"
         path.write_text(AMPLITUDE_FOUR_STUDY, encoding="utf-8")
         argv = ["limit-study", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv)
+        code = main(argv)
         assert code == 2
         assert not (tmp_path / "out" / "trajectory.csv").exists()
         assert (tmp_path / "out" / "report.csv").read_text() == (
@@ -475,9 +473,9 @@ class TestSweepBatches:
             "failure,margin,-0.0071174446471482522\n"
             "failure,iteration,4\n"
         )
-        margins = [
-            str(item.message).split()[2] for item in caught if item.category is RuntimeWarning
-        ]
+        stderr = capsys.readouterr().err
+        assert ".py:" not in stderr
+        margins = [line.split()[3] for line in stderr.splitlines() if line.startswith("warning: ")]
         reference = ["0.0906", "0.0334", "0.0129", "0.00625", "0.00432", "0.00382", "0.00371"]
         reference += ["0.00369"] + ["0.00368"] * 10
         first_member = ["0.0853", "0.0537", "0.0498"] + ["0.0495"] * 9  # tau = 0.1, iterations 2-13
@@ -485,34 +483,6 @@ class TestSweepBatches:
         assert margins == reference + first_member + second_member
         # the members after tau = 0.03 stop with it; tau = 0.1 runs on to converge at 13
         assert batch_sizes == [5] * 4 + [1] * 9
-
-
-#: The criterion-05 limit study (the seed-0 benchmark config) with the drive raised to 4.
-AMPLITUDE_FOUR_STUDY = """\
-[model]
-c2 = 1.0
-delta = 1.0
-tau = 0.1
-k = 0.4
-beta = 0.0
-
-[signal]
-amplitude = 4.0
-frequency = 2.0
-onset_power = 5
-decay_rate = 2.0
-
-[discretization]
-dt = 0.005
-t_final = 2.0
-n_modes = 16
-picard_tol = 1e-10
-picard_max = 30
-
-[experiment]
-bc = neumann
-tau_sweep = 0.1, 0.03, 0.01, 0.003, 0.001
-"""
 
 
 class TestMain:

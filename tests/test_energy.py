@@ -20,11 +20,10 @@ from jmgt_lab import (
     data_norms,
     energy_higher,
     energy_lower,
-    ode_residual_z,
     solve_smgt_linear,
 )
 from jmgt_lab.energy import trapezoid_running, trapezoid_total
-from helpers import zero_trajectory
+from helpers import manufactured_run, zero_trajectory
 
 L = math.pi
 MODE_AMP = math.sqrt(math.pi / 2.0)
@@ -45,18 +44,6 @@ def synthetic_trajectory(basis, config, params, fill):
         bc=BoundaryKind.PURE_NEUMANN,
         params=params,
     )
-
-
-def manufactured_run(params, dt, n=8, t_final=1.0):
-    basis = build_basis(L, n)
-    config = SolverConfig(dt=dt, t_final=t_final, n_modes=n)
-
-    def forcing(x, t):
-        gain = 6.0 * params.tau + 6.0 * t + 3.0 * params.b * t**2 + params.c2 * t**3
-        return gain * np.cos(np.asarray(x, dtype=float))
-
-    traj = solve_smgt_linear(params, basis, constant_field(1.0), forcing, None, config)
-    return basis, traj
 
 
 class TestEnergyLower:
@@ -389,53 +376,6 @@ class TestScaling:
             rate = np.polyfit(traj.times[window], np.log(record.low[window]), 1)[0]
             rates.append(rate)
         assert abs(rates[0] - rates[1]) <= 0.1 * abs(rates[1])
-
-
-class TestOdeResidual:
-    def test_zero_trajectory_zero_residual(self):
-        basis = build_basis(L, 4)
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
-        config = SolverConfig(dt=0.01, t_final=0.3, n_modes=4)
-        residual = ode_residual_z(
-            zero_trajectory(params, basis, config), basis, constant_field(1.0)
-        )
-        assert residual.max() == 0.0
-
-    def test_manufactured_first_order_decay(self):
-        params = ModelParams(c2=1.0, delta=0.05, tau=0.1)
-        maxima = []
-        for dt in (1 / 100, 1 / 200):
-            basis, traj = manufactured_run(params, dt)
-
-            def forcing(x, t):
-                gain = 6.0 * params.tau + 6.0 * t + 3.0 * params.b * t**2 + params.c2 * t**3
-                return gain * np.cos(np.asarray(x, dtype=float))
-
-            residual = ode_residual_z(traj, basis, constant_field(1.0), f=forcing)
-            maxima.append(residual.max())
-        assert 1.6 <= maxima[0] / maxima[1] <= 2.4
-
-    def test_invariant_under_zero_amplitude_lift(self):
-        params = ModelParams(c2=1.0, delta=0.05, tau=0.1)
-        basis, traj = manufactured_run(params, 1 / 100)
-
-        def forcing(x, t):
-            gain = 6.0 * params.tau + 6.0 * t + 3.0 * params.b * t**2 + params.c2 * t**3
-            return gain * np.cos(np.asarray(x, dtype=float))
-
-        plain = ode_residual_z(traj, basis, constant_field(1.0), f=forcing)
-        with_null_signal = ode_residual_z(
-            traj, basis, constant_field(1.0), f=forcing, g=WindowedSignal(0.0, 1.0, 5, 0.0)
-        )
-        np.testing.assert_array_equal(plain, with_null_signal)
-
-    def test_rejects_tau_zero(self):
-        basis = build_basis(L, 4)
-        params = ModelParams(c2=1.0, delta=1.0, tau=0.0)
-        config = SolverConfig(dt=0.01, t_final=0.3, n_modes=4)
-        traj = zero_trajectory(params, basis, config, with_third=False)
-        with pytest.raises(ValueError):
-            ode_residual_z(traj, basis, constant_field(1.0))
 
 
 def test_trapezoid_helpers_match_numpy():

@@ -22,6 +22,8 @@ from jmgt_lab import (
     build_basis,
     build_quadrature,
     constant_field,
+    field_from_trajectory,
+    ode_residual_z,
     recover_third,
     solve_jmgt,
     solve_smgt_linear,
@@ -30,6 +32,7 @@ from jmgt_lab import (
 )
 from jmgt_lab import nonlinear
 from jmgt_lab.assembly import CoefficientField, TimeVaryingMass
+from helpers import manufactured_run, z_ode_residual, zero_trajectory
 
 L = math.pi
 MODE_AMP = math.sqrt(math.pi / 2.0)  # cos(x) = MODE_AMP * w_1 on [0, pi]
@@ -199,6 +202,74 @@ class TestRecoverThird:
             gap = np.abs(fd - traj.coeff_ttt[:-1]).max()
             gaps.append(gap)
         assert 1.5 <= gaps[0] / gaps[1] <= 2.6
+
+
+class TestOdeResidual:
+    def test_zero_trajectory_zero_residual(self):
+        basis = build_basis(L, 4)
+        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
+        config = SolverConfig(dt=0.01, t_final=0.3, n_modes=4)
+        residual = ode_residual_z(
+            zero_trajectory(params, basis, config), basis, constant_field(1.0)
+        )
+        assert residual.max() == 0.0
+
+    def test_manufactured_first_order_decay(self):
+        params = ModelParams(c2=1.0, delta=0.05, tau=0.1)
+        maxima = []
+        for dt in (1 / 100, 1 / 200):
+            basis, traj = manufactured_run(params, dt)
+
+            def forcing(x, t):
+                gain = 6.0 * params.tau + 6.0 * t + 3.0 * params.b * t**2 + params.c2 * t**3
+                return gain * np.cos(np.asarray(x, dtype=float))
+
+            residual = ode_residual_z(traj, basis, constant_field(1.0), f=forcing)
+            maxima.append(residual.max())
+        assert 1.6 <= maxima[0] / maxima[1] <= 2.4
+
+    def test_invariant_under_zero_amplitude_lift(self):
+        params = ModelParams(c2=1.0, delta=0.05, tau=0.1)
+        basis, traj = manufactured_run(params, 1 / 100)
+
+        def forcing(x, t):
+            gain = 6.0 * params.tau + 6.0 * t + 3.0 * params.b * t**2 + params.c2 * t**3
+            return gain * np.cos(np.asarray(x, dtype=float))
+
+        plain = ode_residual_z(traj, basis, constant_field(1.0), f=forcing)
+        with_null_signal = ode_residual_z(
+            traj, basis, constant_field(1.0), f=forcing, g=WindowedSignal(0.0, 1.0, 5, 0.0)
+        )
+        np.testing.assert_array_equal(plain, with_null_signal)
+
+    def test_rejects_tau_zero(self):
+        basis = build_basis(L, 4)
+        params = ModelParams(c2=1.0, delta=1.0, tau=0.0)
+        config = SolverConfig(dt=0.01, t_final=0.3, n_modes=4)
+        traj = zero_trajectory(params, basis, config, with_third=False)
+        with pytest.raises(ValueError):
+            ode_residual_z(traj, basis, constant_field(1.0))
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.PURE_NEUMANN, BoundaryKind.MIXED])
+    @pytest.mark.parametrize("coefficient", ["constant", "varying", "picard"])
+    def test_matches_explicit_z_formula(self, bc, coefficient):
+        params = ModelParams(c2=1.0, delta=0.3, tau=0.1, k=0.3, beta=0.5)
+        basis = build_basis(L, 8)
+        config = SolverConfig(dt=0.01, t_final=1.0, n_modes=8)
+        source = lambda x, t: np.sin(x) * t**2
+        sig = WindowedSignal(0.3, 2.0, 5, 1.0)
+        if coefficient == "picard":
+            traj, _ = solve_jmgt(params, basis, source, sig, config, bc)
+            field = field_from_trajectory(basis, traj, params.k)
+        else:
+            field = {
+                "constant": constant_field(1.3),
+                "varying": CoefficientField(lambda x, t: 1.0 + 0.3 * np.cos(x) * np.sin(t)),
+            }[coefficient]
+            traj = solve_smgt_linear(params, basis, field, source, sig, config, bc)
+        oracle = z_ode_residual(traj, basis, field, f=source, g=sig)
+        residual = ode_residual_z(traj, basis, field, f=source, g=sig)
+        assert np.abs(residual - oracle).max() <= 1e-12 * oracle.max()
 
 
 class TestDiscreteEquations:

@@ -18,6 +18,7 @@ import pytest
 from jmgt_lab import build_basis, solve_jmgt, solve_westervelt_nonlinear
 from jmgt_lab.cli import limit_study
 from jmgt_lab.config import parse_config_text
+from helpers import AMPLITUDE_FOUR_STUDY
 
 CONFIG = """\
 [model]
@@ -122,3 +123,17 @@ def test_normalized_error_converges_in_n_modes():
     assert ratios == pytest.approx([0.46998, 0.47329, 0.47361, 0.47365], rel=1e-4)
     changes = [abs(fine - coarse) for coarse, fine in zip(ratios, ratios[1:])]
     assert all(fine < coarse / 5 for coarse, fine in zip(changes, changes[1:])), ratios
+
+
+def test_study_below_the_smallness_threshold_converges():
+    # the lower half of the smallness bracket: at amplitude 3.85 every member and the
+    # Westervelt reference converge with positive margins, while at amplitude 4 the same
+    # study aborts at tau = 0.03 (tests/test_cli.py)
+    config = parse_config_text(AMPLITUDE_FOUR_STUDY.replace("amplitude = 4.0", "amplitude = 3.85"))
+    with pytest.warns(RuntimeWarning, match="degeneracy margin"):
+        result, _ = limit_study(config)
+    assert [row.tau for row in result.rows] == list(config.tau_sweep)
+    assert all(row.picard_iterations < config.solver.picard_max for row in result.rows)
+    assert result.reference_iterations < config.solver.picard_max
+    assert all(row.degeneracy_margin > 0.0 for row in result.rows)
+    assert result.reference_margin > 0.0

@@ -35,7 +35,8 @@ from .energy import (
     AuditReport,
     BoundaryFlux,
     DataNorms,
-    EnergyRecord,
+    HigherEnergy,
+    LowerEnergy,
     audit_estimate,
     boundary_flux,
     data_norms,

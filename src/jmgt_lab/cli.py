@@ -28,7 +28,8 @@ from .energy import (
     AuditReport,
     BoundaryFlux,
     DataNorms,
-    EnergyRecord,
+    HigherEnergy,
+    LowerEnergy,
     audit_estimate,
     boundary_flux,
     data_norms,
@@ -92,8 +93,8 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
 
 def _write_energy(
     path: Path,
-    lower: EnergyRecord,
-    higher: EnergyRecord,
+    lower: LowerEnergy,
+    higher: HigherEnergy,
     flux: BoundaryFlux | None,
 ) -> None:
     header = ["t", "low", "dual_accum", "tt_accum", "high", "tt_h1_accum", "ttt_l2_accum"]
@@ -248,7 +249,7 @@ def _picard_report_rows(report: PicardReport) -> list[list]:
     return rows
 
 
-Energies = tuple[EnergyRecord, EnergyRecord]
+Energies = tuple[LowerEnergy, HigherEnergy]
 
 
 def _energies(traj: Trajectory, basis: SpectralBasis) -> Energies:
@@ -257,13 +258,8 @@ def _energies(traj: Trajectory, basis: SpectralBasis) -> Energies:
 
 
 def _audits(energies: Energies, bundle: DataNorms) -> list[AuditReport]:
-    """Audit reports of one run, in every mode that applies (TauDependent needs tau > 0)."""
-    lower, higher = energies
-    return [
-        audit_estimate(higher if mode is AuditMode.HIGHER else lower, bundle, mode)
-        for mode in AuditMode
-        if mode is not AuditMode.TAU_DEPENDENT or lower.tau > 0.0
-    ]
+    """Audit reports of one run, in every mode its records serve."""
+    return [audit_estimate(record, bundle, mode) for record in energies for mode in record.modes]
 
 
 def _audit_rows(config: ExperimentConfig, energies: Energies) -> list[list]:

@@ -6,7 +6,7 @@ problem with its line number instead of stopping at the first one; duplicate
 keys follow a last-wins policy and are recorded as warnings.  The rules and
 defaults of the model, signal and discretization keys live in their
 dataclasses; this module maps their violations to lines and checks only the
-file format and the command-line rules.
+file format, the command-line rules and beta = 0 under bc = neumann.
 """
 
 from __future__ import annotations
@@ -178,6 +178,9 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     except ValueError:
         fail("experiment", "bc", f"must be one of neumann|mixed, got {bc_raw!r}")
         bc = BoundaryKind.PURE_NEUMANN
+    model = built.get("model")  # None when [model] already has an error
+    if bc_raw == BoundaryKind.PURE_NEUMANN.value and model is not None and model.beta != 0.0:
+        fail("model", "beta", f"must be 0 under bc = neumann (no absorbing end), got {model.beta}")
     sweep = get("experiment", "tau_sweep")
     if sweep is not None:
         if not sweep:

@@ -1,5 +1,8 @@
 """Energy functionals, data norms and estimate audits.
 
+The lower-order and the higher-order estimate each have an energy record,
+``LowerEnergy`` and ``HigherEnergy``, whose ``modes`` are the audits it serves.
+
 All time integrals use the composite trapezoid rule on the trajectory grid
 and all sup norms are maxima over stored steps, matching the accuracy order
 of the solver.  Boundary Sobolev norms collapse to absolute values because
@@ -23,7 +26,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AuditMode",
-    "EnergyRecord",
+    "LowerEnergy",
+    "HigherEnergy",
     "BoundaryFlux",
     "DataNorms",
     "AuditReport",
@@ -65,73 +69,85 @@ class AuditMode(Enum):
 
 
 @dataclass
-class EnergyRecord:
-    """Left-hand-side energy pieces of the estimates, on the trajectory grid.
+class LowerEnergy:
+    """Left-hand-side pieces of the lower-order estimates, on the trajectory grid.
 
     Pointwise series are squared norms per time step; ``*_accum`` series are
-    running time integrals (hence non-decreasing).  Lower-order and
-    higher-order fields are filled by their respective operations and remain
-    None otherwise.
+    running time integrals (hence non-decreasing).
     """
 
     times: np.ndarray
     tau: float
-    sq_tt_l2: np.ndarray | None = None
-    sq_t_h1: np.ndarray | None = None
-    dual_accum: np.ndarray | None = None
-    tt_accum: np.ndarray | None = None
-    sq_tt_h1: np.ndarray | None = None
-    sq_grad_tt: np.ndarray | None = None
-    sq_lap_t: np.ndarray | None = None
-    tt_h1_accum: np.ndarray | None = None
-    ttt_l2_accum: np.ndarray | None = None
+    sq_tt_l2: np.ndarray
+    sq_t_h1: np.ndarray
+    dual_accum: np.ndarray
+    tt_accum: np.ndarray
+
+    @property
+    def modes(self) -> tuple[AuditMode, ...]:
+        """The audits this record serves; the tau-dependent one needs tau > 0."""
+        if self.tau > 0.0:
+            return (AuditMode.TAU_DEPENDENT, AuditMode.TAU_UNIFORM)
+        return (AuditMode.TAU_UNIFORM,)
 
     @property
     def low(self) -> np.ndarray:
         """E_low(t) = tau*|psi_tt|_L2^2 + |psi_t|_H1^2."""
         return self.tau * self.sq_tt_l2 + self.sq_t_h1
 
-    @property
-    def high(self) -> np.ndarray:
-        """E_high(t) = tau*|grad psi_tt|_L2^2 + |Delta psi_t|_L2^2."""
-        return self.tau * self.sq_grad_tt + self.sq_lap_t
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
     def total(self, mode: AuditMode) -> float:
-        """Energy side of the estimate audited in ``mode``.
+        """Energy side of the estimate audited in ``mode``, one of ``modes``.
 
         TAU_DEPENDENT: tau^2 ||psi_ttt||^2_{L2 (H1)*} + tau ||psi_tt||^2_{Linf L2}
                        + ||psi_t||^2_{Linf H1}
         TAU_UNIFORM:   the same plus ||psi_tt||^2_{L2 L2}; on a difference of
                        iterates this is the squared contraction norm
-        HIGHER:        tau^2 ||psi_ttt||^2_{L2 L2} + tau ||psi_tt||^2_{Linf H1}
-                       + ||psi_tt||^2_{L2 H1} + ||Delta psi_t||^2_{Linf L2}
         """
-        tau = self.tau
+        if mode not in self.modes:
+            raise ValueError(f"the lower energy at tau = {self.tau} has no {mode.value} side")
         if mode is AuditMode.TAU_DEPENDENT:
             return (
-                float(_require(self.dual_accum, "dual_accum")[-1])
-                + tau * float(_require(self.sq_tt_l2, "sq_tt_l2").max())
-                + float(_require(self.sq_t_h1, "sq_t_h1").max())
+                float(self.dual_accum[-1])
+                + self.tau * float(self.sq_tt_l2.max())
+                + float(self.sq_t_h1.max())
             )
-        if mode is AuditMode.TAU_UNIFORM:
-            return (
-                float(_require(self.tt_accum, "tt_accum")[-1])
-                + float(_require(self.sq_t_h1, "sq_t_h1").max())
-                + float(_require(self.dual_accum, "dual_accum")[-1])
-                + tau * float(_require(self.sq_tt_l2, "sq_tt_l2").max())
-            )
-        if mode is AuditMode.HIGHER:
-            return (
-                float(_require(self.ttt_l2_accum, "ttt_l2_accum")[-1])
-                + tau * float(_require(self.sq_tt_h1, "sq_tt_h1").max())
-                + float(_require(self.tt_h1_accum, "tt_h1_accum")[-1])
-                + float(_require(self.sq_lap_t, "sq_lap_t").max())
-            )
-        raise ValueError(f"unknown audit mode {mode!r}")
+        return (
+            float(self.tt_accum[-1])
+            + float(self.sq_t_h1.max())
+            + float(self.dual_accum[-1])
+            + self.tau * float(self.sq_tt_l2.max())
+        )
+
+
+@dataclass
+class HigherEnergy:
+    """Left-hand-side pieces of the higher-order estimate, series as in ``LowerEnergy``."""
+
+    tau: float
+    sq_tt_h1: np.ndarray
+    sq_grad_tt: np.ndarray
+    sq_lap_t: np.ndarray
+    tt_h1_accum: np.ndarray
+    ttt_l2_accum: np.ndarray
+
+    modes = (AuditMode.HIGHER,)
+
+    @property
+    def high(self) -> np.ndarray:
+        """E_high(t) = tau*|grad psi_tt|_L2^2 + |Delta psi_t|_L2^2."""
+        return self.tau * self.sq_grad_tt + self.sq_lap_t
+
+    def total(self, mode: AuditMode) -> float:
+        """Energy side of the HIGHER estimate: tau^2 ||psi_ttt||^2_{L2 L2}
+        + tau ||psi_tt||^2_{Linf H1} + ||psi_tt||^2_{L2 H1} + ||Delta psi_t||^2_{Linf L2}."""
+        if mode not in self.modes:
+            raise ValueError(f"the higher energy has no {mode.value} side")
+        return (
+            float(self.ttt_l2_accum[-1])
+            + self.tau * float(self.sq_tt_h1.max())
+            + float(self.tt_h1_accum[-1])
+            + float(self.sq_lap_t.max())
+        )
 
 
 @dataclass
@@ -143,61 +159,44 @@ class BoundaryFlux:
     velocity_flux_max: np.ndarray
 
 
-def _require(record_field, name: str):
-    if record_field is None:
-        raise ValueError(f"energy record does not carry {name}; run the matching energy op first")
-    return record_field
+def _third_accum(traj: "Trajectory", weight) -> np.ndarray:
+    """tau^2 * running integral of sum xi_ttt^2 / weight; zero at tau = 0 or without xi_ttt."""
+    tau = traj.params.tau
+    if tau > 0.0 and traj.coeff_ttt is not None:
+        return tau**2 * trapezoid_running(np.sum(traj.coeff_ttt**2 / weight, axis=1), traj.dt)
+    return np.zeros(len(traj.times))
 
 
-def energy_lower(traj: "Trajectory", basis: SpectralBasis) -> EnergyRecord:
+def energy_lower(traj: "Trajectory", basis: SpectralBasis) -> LowerEnergy:
     """Lower-order energies: E_low(t), the dual-norm accumulator, and A_tt.
 
     The (H1)* norm of psi_ttt uses the diagonal formula sum xi_i^2/(1+lambda_i),
-    which is the exact dual norm on the span.  For a tau = 0 trajectory the
-    dual accumulator is identically zero.
+    which is the exact dual norm on the span.
     """
-    tau = traj.params.tau
-    dt = traj.dt
     lam = basis.eigenvalues
     sq_tt_l2 = np.sum(traj.coeff_tt**2, axis=1)
-    sq_t_h1 = np.sum((1.0 + lam) * traj.coeff_t**2, axis=1)
-    if tau > 0.0 and traj.coeff_ttt is not None:
-        sq_ttt_dual = np.sum(traj.coeff_ttt**2 / (1.0 + lam), axis=1)
-        dual_accum = tau**2 * trapezoid_running(sq_ttt_dual, dt)
-    else:
-        dual_accum = np.zeros(len(traj.times))
-    return EnergyRecord(
+    return LowerEnergy(
         times=traj.times,
-        tau=tau,
+        tau=traj.params.tau,
         sq_tt_l2=sq_tt_l2,
-        sq_t_h1=sq_t_h1,
-        dual_accum=dual_accum,
-        tt_accum=trapezoid_running(sq_tt_l2, dt),
+        sq_t_h1=np.sum((1.0 + lam) * traj.coeff_t**2, axis=1),
+        dual_accum=_third_accum(traj, 1.0 + lam),
+        tt_accum=trapezoid_running(sq_tt_l2, traj.dt),
     )
 
 
-def energy_higher(traj: "Trajectory", basis: SpectralBasis) -> EnergyRecord:
+def energy_higher(traj: "Trajectory", basis: SpectralBasis) -> HigherEnergy:
     """Higher-order energies: E_high(t), the H1 accumulator of psi_tt, and
     the tau^2-weighted L2 accumulator of psi_ttt."""
-    tau = traj.params.tau
-    dt = traj.dt
     lam = basis.eigenvalues
     sq_tt_h1 = np.sum((1.0 + lam) * traj.coeff_tt**2, axis=1)
-    sq_grad_tt = np.sum(lam * traj.coeff_tt**2, axis=1)
-    sq_lap_t = np.sum(lam**2 * traj.coeff_t**2, axis=1)
-    if tau > 0.0 and traj.coeff_ttt is not None:
-        sq_ttt_l2 = np.sum(traj.coeff_ttt**2, axis=1)
-        ttt_l2_accum = tau**2 * trapezoid_running(sq_ttt_l2, dt)
-    else:
-        ttt_l2_accum = np.zeros(len(traj.times))
-    return EnergyRecord(
-        times=traj.times,
-        tau=tau,
+    return HigherEnergy(
+        tau=traj.params.tau,
         sq_tt_h1=sq_tt_h1,
-        sq_grad_tt=sq_grad_tt,
-        sq_lap_t=sq_lap_t,
-        tt_h1_accum=trapezoid_running(sq_tt_h1, dt),
-        ttt_l2_accum=ttt_l2_accum,
+        sq_grad_tt=np.sum(lam * traj.coeff_tt**2, axis=1),
+        sq_lap_t=np.sum(lam**2 * traj.coeff_t**2, axis=1),
+        tt_h1_accum=trapezoid_running(sq_tt_h1, traj.dt),
+        ttt_l2_accum=_third_accum(traj, 1.0),
     )
 
 
@@ -273,7 +272,7 @@ class AuditReport:
     """Ratio of an estimate's energy side to its data side.
 
     Absolute estimate constants are never reported; sweeps of ratios are the
-    judgement mechanism.  ``lhs_total`` is ``EnergyRecord.total(mode)``.
+    judgement mechanism.  ``lhs_total`` is ``total(mode)`` of the record that serves ``mode``.
     ``log_constant`` tracks the natural log of the tau-dependent constant
     shape in TAU_DEPENDENT mode and is None otherwise.  Its prefactors, the
     coefficient bound sup|alpha| among them, are taken as 1 (the unit-prefactor
@@ -288,7 +287,9 @@ class AuditReport:
     flags: tuple[str, ...] = ()
 
 
-def audit_estimate(energy: EnergyRecord, data: DataNorms, mode: AuditMode) -> AuditReport:
+def audit_estimate(
+    energy: LowerEnergy | HigherEnergy, data: DataNorms, mode: AuditMode
+) -> AuditReport:
     """Compare one run's energy total against its data total.
 
     TAU_DEPENDENT uses the lower estimate's left side and additionally tracks
@@ -298,7 +299,6 @@ def audit_estimate(energy: EnergyRecord, data: DataNorms, mode: AuditMode) -> Au
     meant to be judged across a tau sweep by the caller.
     """
     tau = energy.tau
-    horizon = energy.horizon
     lhs = energy.total(mode)
     rhs = data.higher_total(tau) if mode is AuditMode.HIGHER else data.lower_total()
 
@@ -314,8 +314,7 @@ def audit_estimate(energy: EnergyRecord, data: DataNorms, mode: AuditMode) -> Au
     log_constant = None
     flags: list[str] = []
     if mode is AuditMode.TAU_DEPENDENT:
-        if tau <= 0.0:
-            raise ValueError("the tau-dependent audit requires tau > 0")
+        horizon = float(energy.times[-1])
         # unit-prefactor convention: sup|alpha| enters as 1, also for the nonlinear
         # runs, whose alpha = 1 - 2k*psi_t
         log_constant = (

@@ -201,6 +201,24 @@ class TestParsing:
         (message,) = info.value.errors
         assert message.startswith("line 16: invalid value for 'dt'")
 
+    def test_beta_must_be_zero_without_an_absorbing_end(self):
+        # under bc = neumann no run reads beta, so a nonzero one would be ignored
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(config_with(beta=0.7))
+        assert info.value.errors == [
+            "line 6: beta must be 0 under bc = neumann (no absorbing end), got 0.7"
+        ]
+        assert parse_config_text(config_with(bc="mixed", beta=0.7)).params.beta == 0.7
+
+    def test_beta_rule_waits_for_a_valid_bc_and_beta(self):
+        # an invalid bc or a beta that breaks its own rule is reported once, on its own line
+        for overrides, prefix in (({"bc": "robin"}, "line 21: bc"), ({"beta": -1}, "line 6: beta")):
+            with pytest.raises(ConfigFileError) as info:
+                parse_config_text(config_with(**{"beta": 0.7, **overrides}))
+            (message,) = info.value.errors
+            assert message.startswith(prefix)
+            assert "absorbing end" not in message
+
     @pytest.mark.parametrize("variant", ["relaxed", "westervelt", "bogus"])
     def test_variant_other_than_full_rejected(self, variant):
         # the subcommand picks the model; a variant key that it would ignore is an error
@@ -397,6 +415,30 @@ class TestRun:
         assert lines[0] == "tau,mode,lhs,rhs,ratio,log_constant,flags"
         assert len(lines) == 1 + 2 * 3  # two taus, three modes each
 
+    def test_audit_rows_follow_the_modes_each_run_serves(self, tmp_path):
+        # TauDependent needs tau > 0, so the Westervelt (tau = 0) run reports the other two
+        def report(subcommand, text):
+            out = tmp_path / subcommand
+            assert run(subcommand, parse_config_text(text), out_dir=out, quiet=True) == 0
+            return [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+
+        def audit_keys(subcommand):
+            rows = report(subcommand, BASE_CONFIG)
+            return [key for section, key, _ in rows if section == "audit"]
+
+        assert audit_keys("solve-westervelt") == ["TauUniform_ratio", "Higher_ratio"]
+        assert audit_keys("solve-jmgt") == [
+            "TauDependent_ratio",
+            "TauDependent_log_constant",
+            "TauUniform_ratio",
+            "Higher_ratio",
+        ]
+        table = report("energy-audit", config_with(tau_sweep="1e-1, 3e-2, 1e-2"))[1:]
+        modes = ["TauDependent", "TauUniform", "Higher"]
+        assert [(float(tau), mode) for tau, mode, *_ in table] == [
+            (tau, mode) for tau in (1e-1, 3e-2, 1e-2) for mode in modes
+        ]
+
     @pytest.mark.parametrize(
         "subcommand, overrides, runs",
         [("solve-linear", {}, 1), ("energy-audit", {"tau_sweep": "1e-1, 3e-2, 1e-2"}, 3)],
@@ -432,7 +474,8 @@ class TestSweepBatches:
 
         monkeypatch.setattr(cli, "_solve_linear", spy)
         taus = (0.1, 0.03, 0.01)
-        text = config_with(bc=bc, beta=0.5, tau_sweep=", ".join(map(repr, taus)))
+        beta = 0.5 if bc == "mixed" else 0.0  # neumann has no absorbing end to weigh
+        text = config_with(bc=bc, beta=beta, tau_sweep=", ".join(map(repr, taus)))
         config = parse_config_text(text)
         assert run("energy-audit", config, out_dir=tmp_path, quiet=True) == 0
         [trajectories] = batches
@@ -516,6 +559,14 @@ class TestMain:
         code = main(["solve-jmgt", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "solve-relaxed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_main_rejects_beta_without_an_absorbing_end(self, tmp_path, capsys):
+        path = tmp_path / "experiment.cfg"
+        path.write_text(config_with(beta=0.7), encoding="utf-8")
+        code = main(["solve-linear", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "config error: line 6: beta must be 0 under bc = neumann" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand", ["energy-audit", "limit-study"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from jmgt_lab import (
     AuditMode,
     BoundaryKind,
+    HigherEnergy,
     InconsistentEnergyError,
+    LowerEnergy,
     ModelParams,
     SolverConfig,
     Trajectory,
@@ -21,6 +24,7 @@ from jmgt_lab import (
     energy_higher,
     energy_lower,
     solve_smgt_linear,
+    solve_westervelt_linearized,
 )
 from jmgt_lab.energy import trapezoid_running, trapezoid_total
 from helpers import manufactured_run, zero_trajectory
@@ -338,6 +342,56 @@ class TestAudit:
         report = audit_estimate(higher, bundle, AuditMode.HIGHER)
         assert report.ratio > 0.0
         assert report.log_constant is None
+
+
+class TestRecordModes:
+    """Each record names the audits it serves and answers only those."""
+
+    basis = build_basis(L, 6)
+    config = SolverConfig(dt=0.01, t_final=0.5, n_modes=6)
+    drive = WindowedSignal(0.3, 2.0, 5, 1.0)
+    params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
+
+    def smgt_run(self):
+        return solve_smgt_linear(
+            self.params, self.basis, constant_field(1.0), None, self.drive, self.config
+        )
+
+    def test_third_order_records_serve_the_three_audits_in_mode_order(self):
+        traj = self.smgt_run()
+        lower, higher = energy_lower(traj, self.basis), energy_higher(traj, self.basis)
+        assert lower.modes == (AuditMode.TAU_DEPENDENT, AuditMode.TAU_UNIFORM)
+        assert higher.modes == (AuditMode.HIGHER,)
+        assert (*lower.modes, *higher.modes) == tuple(AuditMode)
+        for record in (lower, higher):
+            for mode in record.modes:
+                assert math.isfinite(record.total(mode)) and record.total(mode) > 0.0
+
+    def test_each_record_rejects_the_other_records_modes(self):
+        traj = self.smgt_run()
+        with pytest.raises(ValueError):
+            energy_lower(traj, self.basis).total(AuditMode.HIGHER)
+        for mode in (AuditMode.TAU_DEPENDENT, AuditMode.TAU_UNIFORM):
+            with pytest.raises(ValueError):
+                energy_higher(traj, self.basis).total(mode)
+
+    def test_westervelt_lower_record_has_no_tau_dependent_side(self):
+        traj = solve_westervelt_linearized(
+            self.params, self.basis, constant_field(1.0), None, self.drive, self.config
+        )
+        lower = energy_lower(traj, self.basis)
+        assert lower.modes == (AuditMode.TAU_UNIFORM,)
+        with pytest.raises(ValueError):
+            lower.total(AuditMode.TAU_DEPENDENT)
+        bundle = data_norms(self.drive, self.config)
+        with pytest.raises(ValueError):
+            audit_estimate(lower, bundle, AuditMode.TAU_DEPENDENT)
+        assert audit_estimate(lower, bundle, AuditMode.TAU_UNIFORM).ratio > 0.0
+
+    @pytest.mark.parametrize("record", [LowerEnergy, HigherEnergy])
+    def test_every_field_is_required(self, record):
+        for item in fields(record):
+            assert item.default is MISSING and item.default_factory is MISSING, item.name
 
 
 class TestScaling:

@@ -75,10 +75,13 @@ class Trajectory:
     def __sub__(self, other: "Trajectory") -> "Trajectory":
         """Difference on the common time grid, at the parameters and bc of ``self``.
 
-        ``coeff_ttt`` is None when ``self`` carries none.
+        ``coeff_ttt`` is None when ``self`` carries none; ValueError when only
+        ``self`` carries one.
         """
         if self.times.shape != other.times.shape or not np.allclose(self.times, other.times):
             raise ValueError("trajectories live on different time grids")
+        if self.coeff_ttt is not None and other.coeff_ttt is None:
+            raise ValueError("other carries no coeff_ttt")
         return replace(
             self,
             coeff=self.coeff - other.coeff,
@@ -173,10 +176,14 @@ def _prepare_data(
 ) -> tuple[list[ModelParams], QuadratureRule, np.ndarray]:
     """Apply the system's rule, check the signal, then build quadrature and loads.
 
-    Order 3 needs tau > 0 (InvalidParameters); order 2, the tau = 0 limit,
-    runs its members at tau = 0.  Returns those members, the quadrature and
-    ``loads[b, m]``, the load of member b at grid time m.
+    ``config.n_modes`` must be the basis size and order 3 needs tau > 0
+    (InvalidParameters); order 2, the tau = 0 limit, runs its members at
+    tau = 0.  Returns those members, the quadrature and ``loads[b, m]``, the
+    load of member b at grid time m.
     """
+    if config.n_modes != basis.n:
+        rule = f"must equal the basis size {basis.n}, got {config.n_modes}"
+        raise InvalidParameters("SolverConfig", [("n_modes", rule)])
     if order == 2:
         members = [replace(params, tau=0.0) for params in members]
     elif (tau := min(params.tau for params in members)) <= 0.0:

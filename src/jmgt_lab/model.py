@@ -124,7 +124,7 @@ class WindowedSignal:
     decay_rate: float = 0.0
 
     def __post_init__(self):
-        whole = float(self.onset_power).is_integer() and self.onset_power >= 0
+        whole = _is_integer(self.onset_power) and self.onset_power >= 0
         _check_fields(
             self,
             [

@@ -54,21 +54,34 @@ class NonlinearVariant(Enum):
 
 @dataclass
 class PicardReport:
-    """Convergence log of one fixed-point run.
+    """Convergence log of one fixed-point run, one entry per iterate.
 
     ``differences[m]`` is the energy-norm distance between iterates m and
     m+1 (the first entry measures the distance from the zero initial
-    iterate); ``factors`` are consecutive ratios of differences;
-    ``iterate_norms[m]`` is the distance of iterate m+1 from the zero iterate;
-    ``degeneracy_margin`` is the minimum of 1 - 2k*psi_t over the last
-    iterate's space-time evaluation grid.
+    iterate), ``iterate_norms[m]`` the distance of iterate m+1 from the zero
+    iterate and ``margins[m]`` the minimum of 1 - 2k*psi_t over iterate m+1's
+    space-time evaluation grid.  The iteration count, the contraction factors
+    and the last iterate's degeneracy margin are read from these series.
     """
 
-    iterations: int
-    differences: list[float]
-    factors: list[float]
-    degeneracy_margin: float
-    iterate_norms: list[float]
+    differences: list[float] = field(default_factory=list)
+    iterate_norms: list[float] = field(default_factory=list)
+    margins: list[float] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.differences)
+
+    @property
+    def factors(self) -> list[float]:
+        """Consecutive ratios of differences (a run's divisors are at least picard_tol > 0)."""
+        d = self.differences
+        return [b / a for a, b in zip(d, d[1:])]
+
+    @property
+    def degeneracy_margin(self) -> float:
+        """The last iterate's margin; NaN before the first iterate."""
+        return self.margins[-1] if self.margins else math.nan
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory, basis: SpectralBasis) -> float:
@@ -95,34 +108,13 @@ def _margin_series(
     return values.min(axis=1)
 
 
-def _guard_degeneracy(margins: np.ndarray, times: np.ndarray, iteration: int) -> None:
-    """Abort on the first step whose margin is not positive."""
-    margin = float(margins.min())
-    if margin <= 0.0:
-        first_bad = int(np.argmax(margins <= 0.0))
-        raise NonDegeneracyViolated(margin, float(times[first_bad]), iteration)
-
-
 #: A run whose contraction factor exceeds 1 this many times in a row diverges.
 _GROWTH_LIMIT = 3
 
 
-@dataclass
-class _Member:
-    """Fixed-point state of one member of a lockstep batch."""
-
-    params: ModelParams
-    report: PicardReport = field(
-        default_factory=lambda: PicardReport(0, [], [], math.nan, [])
-    )
-    #: the latest iterate; the result once the member has converged
-    last: Trajectory | None = None
-    #: the guarded margins below 0.1, one per iterate, warned about once the batch ends
-    close_margins: list[float] = field(default_factory=list)
-
-
 def _advance(
-    state: _Member,
+    report: PicardReport,
+    previous: Trajectory | None,
     current: Trajectory,
     iteration: int,
     basis: SpectralBasis,
@@ -131,24 +123,19 @@ def _advance(
 ) -> bool:
     """Record a member's new iterate; True once the member has converged.
 
-    Raises the member's NonDegeneracyViolated or PicardDivergenceError.
+    Raises the member's NonDegeneracyViolated (guarded runs only) or PicardDivergenceError.
     """
-    report = state.report
-    margins = _margin_series(current, basis, state.params.k, config.eval_grid)
-    if guarded:
-        _guard_degeneracy(margins, current.times, iteration)
-    report.degeneracy_margin = float(margins.min())
-    if guarded and report.degeneracy_margin < 0.1:
-        state.close_margins.append(report.degeneracy_margin)
+    margins = _margin_series(current, basis, current.params.k, config.eval_grid)
+    margin = float(margins.min())
+    if guarded and margin <= 0.0:
+        first_bad = int(np.argmax(margins <= 0.0))
+        raise NonDegeneracyViolated(margin, float(current.times[first_bad]), iteration)
+    report.margins.append(margin)
     # the distance from the zero iterate; current - 0.0 is current, bit for bit
     norm = float(np.sqrt(energy_lower(current, basis).total(AuditMode.TAU_UNIFORM)))
-    diff = norm if state.last is None else trajectory_distance(current, state.last, basis)
-    state.last = current
-    if report.differences:  # a previous difference is at least picard_tol > 0
-        report.factors.append(diff / report.differences[-1])
+    diff = norm if previous is None else trajectory_distance(current, previous, basis)
     report.differences.append(diff)
     report.iterate_norms.append(norm)
-    report.iterations = len(report.differences)
     if diff < config.picard_tol:
         return True
     recent = report.factors[-_GROWTH_LIMIT:]
@@ -186,50 +173,52 @@ def _picard_loop(
     clamped = variant is NonlinearVariant.RELAXED_JMGT
     members, quad, loads = _prepare_data(order, members, basis, f, g, config, bc)
     k = np.array([[params.k] for params in members])
-    states = [_Member(params) for params in members]
-    failures: dict[int, SolverFailure] = {}
+    reports = [PicardReport() for _ in members]
+    last: list[Trajectory | None] = [None] * len(members)  # each member's latest iterate
+    # the first failing member and its failure; every member still iterating is before it
+    stop, failure = len(members), None
     active = list(range(len(members)))  # the members iterating this round, in order
     products = None if clamped else _triple_products(basis)
     # round 1 freezes the zero iterate; a broadcast view stores no zero grid
-    zero = np.broadcast_to(0.0, (len(members), config.n_steps + 1, basis.n))
-    masses = _FrozenMass(basis, quad, zero, k, products)
+    velocity = np.broadcast_to(0.0, (len(members), config.n_steps + 1, basis.n))
     for iteration in range(1, config.picard_max + 1):
+        masses = _FrozenMass(basis, quad, velocity, k[active], products)
         batch = loads if len(active) == len(members) else loads[active]
-        iterates, failure = _integrate(
+        iterates, singular = _integrate(
             order, [members[i] for i in active], basis, quad, masses, batch, config, bc
         )
-        if failure is not None:
-            failures[active[len(iterates)]] = failure
-        going = []  # positions in this round of the members that iterate on
-        for position, (member, current) in enumerate(zip(active, iterates)):
+        if singular is not None:
+            stop, failure = active[len(iterates)], singular
+        going = []  # the members that iterate on
+        for member, current in zip(active, iterates):
             try:
-                if not _advance(states[member], current, iteration, basis, config, not clamped):
-                    going.append(position)
+                converged = _advance(
+                    reports[member], last[member], current, iteration, basis, config, not clamped
+                )
             except SolverFailure as exc:
-                failures[member] = exc
-        first_failure = min(failures, default=len(members))
-        going = [position for position in going if active[position] < first_failure]
+                stop, failure = member, exc
+                break
+            last[member] = current
+            if not converged:
+                going.append(member)
         if not going:
             break
-        velocity = np.stack([iterates[position].coeff_t for position in going])
-        active = [active[position] for position in going]
-        masses = _FrozenMass(basis, quad, velocity, k[active], products)
+        active = going
+        velocity = np.stack([last[member].coeff_t for member in active])
     else:
-        for member in active:
-            failures[member] = PicardDivergenceError(
-                states[member].report.differences, config.picard_max
-            )
-    first_failure = min(failures, default=len(members))
-    for state in states[: first_failure + 1]:
-        for margin in state.close_margins:
-            warnings.warn(
-                f"degeneracy margin {margin:.3g} < 0.1; the model is close to degenerate",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    if failures:
-        raise failures[first_failure]
-    return [(state.last, state.report) for state in states]
+        stop = active[0]
+        failure = PicardDivergenceError(reports[stop].differences, config.picard_max)
+    # a guarded run warns of its margins below 0.1, up to the first failing member
+    close = [margin for report in reports[: stop + 1] for margin in report.margins if margin < 0.1]
+    for margin in [] if clamped else close:
+        warnings.warn(
+            f"degeneracy margin {margin:.3g} < 0.1; the model is close to degenerate",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if failure is not None:
+        raise failure
+    return list(zip(last, reports))
 
 
 def solve_jmgt(

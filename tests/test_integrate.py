@@ -536,6 +536,27 @@ class TestRobustness:
         with pytest.raises(InvalidParameters, match="tau must be positive"):
             solve_smgt_linear(params, basis, constant_field(1.0), None, None, config)
 
+    @pytest.mark.parametrize("n_modes", [4, 1])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda p, b, c: solve_smgt_linear(p, b, constant_field(1.0), None, None, c),
+            lambda p, b, c: solve_westervelt_linearized(p, b, constant_field(1.0), None, None, c),
+            lambda p, b, c: solve_jmgt(p, b, None, None, c),
+        ],
+        ids=["smgt", "westervelt", "jmgt"],
+    )
+    def test_config_size_must_match_the_basis(self, solve, n_modes):
+        # the quadrature and margin grid sizes come from n_modes, so a config sized
+        # for another basis would silently change the run
+        basis = build_basis(L, 16)
+        config = SolverConfig(dt=0.01, t_final=0.2, n_modes=n_modes)
+        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
+        with pytest.raises(InvalidParameters) as info:
+            solve(params, basis, config)
+        rule = f"must equal the basis size 16, got {n_modes}"
+        assert info.value.violations == [("n_modes", rule)]
+
     def test_unsolvable_step_reports_time_index(self):
         # a coefficient field that turns NaN mid-run surfaces as a step failure
         basis = build_basis(L, 3)

@@ -144,6 +144,8 @@ class TestParamValidation:
             dict(amplitude=1.0, frequency=1.0, onset_power=-1),
             dict(amplitude=1.0, frequency=1.0, onset_power=5.5),
             dict(amplitude=1.0, frequency=1.0, onset_power=float("inf")),
+            dict(amplitude=1.0, frequency=1.0, onset_power=True),
+            dict(amplitude=1.0, frequency=1.0, onset_power=5.0),
         ],
     )
     def test_invalid_signal_rejected(self, kwargs):

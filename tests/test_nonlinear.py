@@ -151,6 +151,23 @@ class TestContractionNorm:
             with pytest.raises(ValueError, match="different time grids"):
                 trajectory_distance(other, coarse, basis)
 
+    def test_third_order_minus_second_order_rejected(self):
+        # only the second-order run may come first: its difference drops coeff_ttt
+        basis = build_basis(L, 4)
+        sig = WindowedSignal(0.3, 2.0, 5, 1.0)
+        config = SolverConfig(dt=0.02, t_final=0.5, n_modes=4)
+        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
+        jmgt = solve_smgt_linear(params, basis, constant_field(1.0), None, sig, config)
+        westervelt = solve_westervelt_linearized(params, basis, constant_field(1.0), None, sig, config)
+        with pytest.raises(ValueError, match="other carries no coeff_ttt"):
+            jmgt - westervelt
+        with pytest.raises(ValueError, match="other carries no coeff_ttt"):
+            trajectory_distance(jmgt, westervelt, basis)
+        difference = westervelt - jmgt
+        assert difference.coeff_ttt is None and difference.params == westervelt.params
+        assert np.array_equal(difference.coeff_tt, westervelt.coeff_tt - jmgt.coeff_tt)
+        assert trajectory_distance(westervelt, jmgt, basis) > 0.0
+
 
 class TestPicardLoop:
     def test_zero_data_converges_in_one_iteration(self):
@@ -214,6 +231,18 @@ class TestPicardLoop:
         direct, _ = solve_westervelt_nonlinear(params, basis, None, sig, config)
         assert np.array_equal(via_jmgt.coeff, direct.coeff)
 
+    @pytest.mark.parametrize(
+        "variant", [NonlinearVariant.FULL_JMGT, NonlinearVariant.RELAXED_JMGT], ids=lambda v: v.value
+    )
+    def test_report_reads_its_counts_from_the_series(self, variant):
+        basis, params, sig, config = small_setup()
+        _, report = solve_jmgt(params, basis, None, sig, config, variant=variant)
+        d = report.differences
+        assert report.iterations > 2
+        assert report.iterations == len(d) == len(report.margins) == len(report.iterate_norms)
+        assert report.factors == [b / a for a, b in zip(d, d[1:])]
+        assert report.degeneracy_margin == report.margins[-1]
+
     def test_iterate_norms_stay_bounded(self):
         # discrete self-mapping proxy: no iterate blow-up
         basis, params, sig, config = small_setup()
@@ -257,6 +286,7 @@ class TestGuard:
         assert report.iterations > 2
         assert len(calls) == report.iterations
         assert report.degeneracy_margin == calls[-1]
+        assert report.margins == calls
 
     def test_successful_full_run_margin_positive(self):
         basis, params, sig, config = small_setup(amplitude=0.6)
@@ -526,8 +556,15 @@ class TestLockstep:
             (dict(STRONG, amplitude=4.2), 1.0, (0.3, 0.1), 1),
             # the cap stops tau = 0.01 and tau = 0.001, while tau = 0.1 converges at it
             (dict(picard_max=9), 0.8, TAUS, 2),
+            # tau = 0.003 loses positivity at iteration 2; tau = 0.3 runs on to the cap at 5
+            (dict(STRONG, amplitude=4.4, picard_max=5), 1.0, (0.3, 0.003), 0),
         ],
-        ids=["earlier-member-fails-later", "later-member-fails-alone", "iteration-cap"],
+        ids=[
+            "earlier-member-fails-later",
+            "later-member-fails-alone",
+            "iteration-cap",
+            "cap-beats-later-failure",
+        ],
     )
     def test_first_failing_member_wins(self, drive, delta, taus, failing):
         basis, sig, config = self.setup(**drive)

@@ -2,10 +2,10 @@
 rank-one boundary matrices, load vectors, and the boundary-data lift.
 
 The coefficient alpha(x, t) enters only through the mass matrix
-M(t)_ij = (alpha w_i, w_j).  For a general field it is a quadrature Gram of
-alpha sampled at the grid times and quadrature nodes; for the unclamped
-Picard coefficient alpha = 1 - 2k*psi_t it is exact in closed form,
-I - 2k * sum_l c_l T_l, from the triple products T_l,ij of the cosine modes.
+M(t)_ij = (alpha w_i, w_j), and ``TimeVaryingMass`` forms every one: for a
+general field a quadrature Gram of alpha sampled at the grid times and
+quadrature nodes, for the unclamped Picard coefficient alpha = 1 - 2k*psi_t
+the closed form I - 2k * sum_l c_l T_l from the mode triple products T_l,ij.
 Loads are assembled for a whole time grid at once.
 """
 
@@ -170,71 +170,48 @@ def assemble_boundary(basis: SpectralBasis, end: End) -> np.ndarray:
 
 
 class TimeVaryingMass:
-    """Mass matrices M(t_m) of one run, or of a batch of runs, from their sampled coefficient.
+    """Mass matrices M(t_m) of one run, or of a batch of runs; every mass the step loop reads.
 
-    ``alpha[..., m, :]`` holds alpha(., t_m) at the quadrature nodes, behind an
-    optional leading member axis; ``matrix(m)`` and ``alpha_values(m)`` index
-    by step.  A member axis of length 1 is one coefficient shared by a batch.
-    """
-
-    def __init__(self, basis: SpectralBasis, quad: QuadratureRule, alpha: np.ndarray):
-        self.quad = quad
-        self._modes = mode_matrix(basis, quad.nodes)
-        # the per-step rows alpha is read from; _FrozenMass keeps psi_t coefficients here
-        self._rows = alpha
-
-    def alpha_values(self, m: int) -> np.ndarray:
-        return self._rows[..., m, :]
-
-    def matrix(self, m: int) -> np.ndarray:
-        """M(t_m), one per member; every mass of a run is built through here."""
-        return self._assemble(m)
-
-    def _assemble(self, m: int) -> np.ndarray:
-        return _weighted_gram(self._modes, self.quad.weights * self.alpha_values(m))
-
-    def changed_rows(self) -> np.ndarray:
-        """Entry m - 2 tells whether row m (m >= 2) differs from row m - 1 in some member.
-
-        A NaN differs from itself.
-        """
-        differs = self._rows[..., 2:, :] != self._rows[..., 1:-1, :]
-        return np.any(differs, axis=(*range(differs.ndim - 2), -1))
-
-
-class _FrozenMass(TimeVaryingMass):
-    """Masses of a batch of Picard iterates, alpha frozen at the previous iterates.
-
-    ``velocity[b, m]`` holds the psi_t coefficients of member b's previous
-    iterate at grid time m, and ``k[b, 0]`` its nonlinearity.  With
-    ``products`` from ``_triple_products`` the coefficient is the unclamped
-    1 - 2k*psi_t and each mass is exact in closed form,
-    I - 2k * (c @ T).reshape(n, n), with no quadrature; zero velocity or
-    k = 0 gives I exactly.  With ``products`` None it is clamp_h(psi_t, k),
-    whose masses are quadrature Grams of rows formed when asked for.  Either
-    way no alpha grid is stored, and a row counts as changed wherever psi_t
-    changes.
+    ``rows[..., m, :]`` is read at step m, behind an optional leading member
+    axis; a member axis of length 1 is one coefficient shared by a batch.
+    With ``k`` None a row is alpha(., t_m) at the quadrature nodes.  With
+    ``k``, ``rows[b, m]`` holds the psi_t coefficients of member b's previous
+    Picard iterate and ``k[b, 0]`` its nonlinearity, so no alpha grid is
+    stored.  With ``products`` from ``_triple_products`` that coefficient is
+    the unclamped 1 - 2k*psi_t and each mass is exact in closed form,
+    I - 2k * (c @ T).reshape(n, n), with no quadrature (zero velocity or
+    k = 0 gives I exactly).  Every other mass is the quadrature Gram of
+    ``alpha_values(m)``, clamp_h(psi_t, k) for an iterate without ``products``.
+    ``changed[m - 2]`` tells whether row m (m >= 2) differs from row m - 1 in
+    some member; a NaN differs from itself.
     """
 
     def __init__(
         self,
         basis: SpectralBasis,
         quad: QuadratureRule,
-        velocity: np.ndarray,
-        k: np.ndarray,
-        products: np.ndarray | None,
+        rows: np.ndarray,
+        k: np.ndarray | None = None,
+        products: np.ndarray | None = None,
     ):
-        super().__init__(basis, quad, velocity)
+        self.quad = quad
+        self._modes = mode_matrix(basis, quad.nodes)
+        self._rows = rows
         self._k = k
         self._products = products
+        differs = rows[..., 2:, :] != rows[..., 1:-1, :]
+        self.changed = np.any(differs, axis=(*range(differs.ndim - 2), -1))
 
     def alpha_values(self, m: int) -> np.ndarray:
+        if self._k is None:
+            return self._rows[..., m, :]
         velocity = (self._rows[:, m, None, :] @ self._modes)[:, 0]
         return _frozen_coefficient(velocity, self._k, self._products is None)
 
-    def _assemble(self, m: int) -> np.ndarray:
+    def matrix(self, m: int) -> np.ndarray:
+        """M(t_m), one per member; every mass of a run is built through here."""
         if self._products is None:
-            return super()._assemble(m)
+            return _weighted_gram(self._modes, self.quad.weights * self.alpha_values(m))
         count, n = self._rows.shape[0], self._rows.shape[-1]
         # a stacked [B, 1, n] @ [n, n*n] product gives each member the bits of a lone run
         products = (self._rows[:, m, None, :] @ self._products).reshape(count, n, n)

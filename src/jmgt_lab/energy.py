@@ -167,13 +167,21 @@ def _third_accum(traj: "Trajectory", weight) -> np.ndarray:
     return np.zeros(len(traj.times))
 
 
+def _eigenvalues(traj: "Trajectory", basis: SpectralBasis) -> np.ndarray:
+    """The basis eigenvalues, once the basis is known to have the trajectory's mode count."""
+    if basis.n != traj.n_modes:
+        raise ValueError(f"a basis of {basis.n} modes cannot audit a run of {traj.n_modes} modes")
+    return basis.eigenvalues
+
+
 def energy_lower(traj: "Trajectory", basis: SpectralBasis) -> LowerEnergy:
     """Lower-order energies: E_low(t), the dual-norm accumulator, and A_tt.
 
     The (H1)* norm of psi_ttt uses the diagonal formula sum xi_i^2/(1+lambda_i),
-    which is the exact dual norm on the span.
+    which is the exact dual norm on the span.  ``basis`` must have the run's
+    mode count (ValueError otherwise).
     """
-    lam = basis.eigenvalues
+    lam = _eigenvalues(traj, basis)
     sq_tt_l2 = np.sum(traj.coeff_tt**2, axis=1)
     return LowerEnergy(
         times=traj.times,
@@ -187,8 +195,8 @@ def energy_lower(traj: "Trajectory", basis: SpectralBasis) -> LowerEnergy:
 
 def energy_higher(traj: "Trajectory", basis: SpectralBasis) -> HigherEnergy:
     """Higher-order energies: E_high(t), the H1 accumulator of psi_tt, and
-    the tau^2-weighted L2 accumulator of psi_ttt."""
-    lam = basis.eigenvalues
+    the tau^2-weighted L2 accumulator of psi_ttt; ``basis`` as in ``energy_lower``."""
+    lam = _eigenvalues(traj, basis)
     sq_tt_h1 = np.sum((1.0 + lam) * traj.coeff_tt**2, axis=1)
     return HigherEnergy(
         tau=traj.params.tau,

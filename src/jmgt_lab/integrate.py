@@ -243,7 +243,7 @@ def _integrate(
     damping and inertia terms depend only on c0 (1 at the startup step, 1.5
     after it), so they are summed once per c0.  The mass is assembled at the
     first step and again only at a step whose row of alpha changes
-    (``masses.changed_rows()``), where only the mass slot of the coefficient
+    (``masses.changed``), where only the mass slot of the coefficient
     stack is rewritten; the step matrix is rebuilt at those steps and at the
     switch to c0 = 1.5.  The summation order is that of a per-step sum, so
     reusing a matrix gives the same bits as rebuilding it.
@@ -285,8 +285,6 @@ def _integrate(
         inertia_term = gains[3] * coefficients[3] if order == 3 else None
         plans.append((s, gains[:, None, None], fixed, inertia_term))
 
-    changed = masses.changed_rows()
-
     # derivs[j, b] is member b's j-th time derivative; derivs[order] is the BDF difference
     derivs = np.zeros((order + 1, count, steps + 1, n))
     if order == 3:
@@ -297,9 +295,9 @@ def _integrate(
         else:
             hist = 2.0 * derivs[:order, :, m] - 0.5 * derivs[:order, :, m - 1]
         s, gains, fixed, inertia_term = plans[min(m, 1)]
-        if m == 0 or changed[m - 1]:
+        if m == 0 or masses.changed[m - 1]:
             np.add(masses.matrix(m + 1)[:count], acc_extra, out=coefficients[2])
-        if m < 2 or changed[m - 1]:
+        if m < 2 or masses.changed[m - 1]:
             matrix = fixed + gains[2] * coefficients[2]
             if inertia_term is not None:
                 matrix = matrix + inertia_term

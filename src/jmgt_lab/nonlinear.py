@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import SpaceTimeFn, _FrozenMass, _triple_products
+from .assembly import SpaceTimeFn, TimeVaryingMass, _triple_products
 from .basis import SpectralBasis, mode_matrix
 from .energy import AuditMode, energy_lower
 from .exceptions import NonDegeneracyViolated, PicardDivergenceError, SolverFailure
@@ -160,8 +160,9 @@ def _picard_loop(
     Round r integrates iterate r of every member still iterating in one
     ``_integrate`` call, so one stacked solve per step serves them all; a
     member leaves the batch once it converges.  Each member's masses are
-    formed step by step from its previous iterate's psi_t (``_FrozenMass``),
-    and round 1 freezes the zero iterate, so its unclamped masses are I.
+    formed step by step from its previous iterate's psi_t (``TimeVaryingMass``
+    with k, and with T built once per run unless clamped), and round 1 freezes
+    the zero iterate, so its unclamped masses are I.
     Results, failures and degeneracy warnings are those of running the
     members one after another in ``members`` order: once a member fails, the
     members after it stop and the ones before it run on, and the first
@@ -182,7 +183,7 @@ def _picard_loop(
     # round 1 freezes the zero iterate; a broadcast view stores no zero grid
     velocity = np.broadcast_to(0.0, (len(members), config.n_steps + 1, basis.n))
     for iteration in range(1, config.picard_max + 1):
-        masses = _FrozenMass(basis, quad, velocity, k[active], products)
+        masses = TimeVaryingMass(basis, quad, velocity, k[active], products)
         batch = loads if len(active) == len(members) else loads[active]
         iterates, singular = _integrate(
             order, [members[i] for i in active], basis, quad, masses, batch, config, bc

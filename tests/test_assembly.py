@@ -28,7 +28,6 @@ from jmgt_lab import (
     trace_vector,
 )
 from jmgt_lab.assembly import (
-    _FrozenMass,
     _triple_products,
     _weighted_gram,
     assemble_loads,
@@ -146,7 +145,7 @@ class TestClosedFormMass:
     def frozen(self, n, velocity, k=K):
         basis = build_basis(self.LENGTH, n)
         quad = build_quadrature(self.LENGTH, 4 * n)
-        return basis, _FrozenMass(basis, quad, velocity, k, _triple_products(basis))
+        return basis, TimeVaryingMass(basis, quad, velocity, k, _triple_products(basis))
 
     @pytest.mark.parametrize("n", [1, 2, 16, 33])
     def test_matches_a_fine_quadrature_gram(self, n):

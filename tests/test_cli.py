@@ -179,6 +179,33 @@ class TestParsing:
             "line 22: mms_levels",
         ])
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                BASE_CONFIG.replace("n_modes = 6", "n_modes = 6\nlength = 0.0"),
+                ["line 18: length must be positive"],
+            ),
+            (config_with(tau_sweep="0.1, 0.0"), ["line 22: tau_sweep entries must be positive"]),
+            (
+                config_with(n_modes=8.5),
+                ["line 17: invalid value for 'n_modes': expected an integer, got '8.5'"],
+            ),
+            (
+                BASE_CONFIG.replace("k = 0.4", "k 0.4"),
+                [
+                    "line 5: expected `key = value`, got 'k 0.4'",
+                    "<string>: missing required key 'k' in [model]",
+                ],
+            ),
+        ],
+        ids=["zero-length", "zero-tau", "fractional-n-modes", "no-equals-sign"],
+    )
+    def test_rejected_value_reported_on_its_line(self, text, expected):
+        with pytest.raises(ConfigFileError) as info:
+            parse_config_text(text)
+        assert info.value.errors == expected
+
     def test_rule_errors_reported_with_the_format_errors(self):
         # [discretization] and [signal] hold a value that does not parse, so they build
         # nothing (t_final = 0.3 with the bad dt adds no error); [model] and the
@@ -263,6 +290,17 @@ class TestRun:
         assert lines[0].startswith("t,xi_0")
         values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert np.abs(values[:, 1:]).max() == 0.0
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_progress_and_config_warnings_unless_quiet(self, tmp_path, capsys, quiet):
+        config = parse_config_text(BASE_CONFIG.replace("c2 = 1.0", "c2 = 1.0\nc2 = 2.5"))
+        assert run("solve-linear", config, out_dir=tmp_path, quiet=quiet) == 0
+        captured = capsys.readouterr()
+        if quiet:
+            assert (captured.out, captured.err) == ("", "")
+        else:
+            assert captured.err == "warning: line 3: duplicate key 'c2' in [model]; last value wins\n"
+            assert captured.out == f"solve-linear: 25 steps, artifacts in {tmp_path}\n"
 
     def test_degeneracy_failure_exit_code_and_report(self, tmp_path):
         config = parse_config_text(config_with(amplitude=100.0))

@@ -25,6 +25,7 @@ from jmgt_lab import (
     energy_lower,
     solve_smgt_linear,
     solve_westervelt_linearized,
+    trajectory_distance,
 )
 from jmgt_lab.energy import trapezoid_running, trapezoid_total
 from helpers import manufactured_run, zero_trajectory
@@ -392,6 +393,33 @@ class TestRecordModes:
     def test_every_field_is_required(self, record):
         for item in fields(record):
             assert item.default is MISSING and item.default_factory is MISSING, item.name
+
+
+class TestBasisSize:
+    """An audit basis must have the run's mode count.
+
+    Unchecked, some sizes give silently wrong numbers: the n = 8 run below reads
+    TAU_UNIFORM 0.0497 (not 0.0781) and HIGHER 0.0394 (not 0.486) under a one-mode
+    basis, and the n = 1 run reads 0.0629 (not 0.0152) under a four-mode one.
+    """
+
+    @staticmethod
+    def run(n):
+        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
+        config = SolverConfig(dt=0.01, t_final=1.0, n_modes=n)
+        sig = WindowedSignal(0.3, 2.0, 5, 1.0)
+        return solve_smgt_linear(params, build_basis(L, n), constant_field(1.0), None, sig, config)
+
+    @pytest.mark.parametrize("run_modes, basis_modes", [(8, 1), (1, 4), (8, 4)])
+    def test_other_mode_count_rejected(self, run_modes, basis_modes):
+        traj = self.run(run_modes)
+        basis = build_basis(L, basis_modes)
+        message = f"basis of {basis_modes} modes cannot audit a run of {run_modes} modes"
+        for energy in (energy_lower, energy_higher):
+            with pytest.raises(ValueError, match=message):
+                energy(traj, basis)
+        with pytest.raises(ValueError, match=message):
+            trajectory_distance(traj, traj, basis)
 
 
 class TestScaling:

@@ -34,7 +34,8 @@ from jmgt_lab import (
     solve_westervelt_nonlinear,
     trajectory_distance,
 )
-from helpers import degeneracy_margin, zero_trajectory
+from jmgt_lab.config import parse_config_text
+from helpers import AMPLITUDE_FOUR_STUDY, degeneracy_margin, zero_trajectory
 
 L = math.pi
 
@@ -623,3 +624,32 @@ class TestLockstep:
         )
         assert np.array_equal(traj.coeff, lone.coeff)
         assert np.array_equal(traj.coeff_tt, lone.coeff_tt)
+
+    def test_singular_step_in_a_round_stops_at_its_member(self, monkeypatch):
+        # round 2 reports a singular step for member 2 (the third of five): the members
+        # before it iterate on to convergence, the ones after it stop, and the warnings
+        # are those of members 0 and 1 run alone (member 2's one margin, 0.277, is above
+        # the 0.1 warning level)
+        study = AMPLITUDE_FOUR_STUDY.replace("amplitude = 4.0", "amplitude = 3.85")
+        config = parse_config_text(study)
+        members = [replace(config.params, tau=tau) for tau in config.tau_sweep]
+        basis = build_basis(config.length, config.solver.n_modes)
+        args = (basis, None, config.signal, config.solver, config.bc, NonlinearVariant.FULL_JMGT)
+        lone = [record_warnings(lambda: solve_jmgt(params, *args))[1] for params in members[:2]]
+        batch_sizes = []
+        original = jmgt_lab.nonlinear._integrate
+
+        def integrate(order, batch, *rest):
+            batch_sizes.append(len(batch))
+            trajectories, failure = original(order, batch, *rest)
+            if len(batch_sizes) == 2:
+                return trajectories[:2], SingularStepMatrixError(7, 0.035)
+            return trajectories, failure
+
+        monkeypatch.setattr(jmgt_lab.nonlinear, "_integrate", integrate)
+        failure, warned = record_warnings(lambda: jmgt_lab.nonlinear._picard_loop(members, *args))
+        assert isinstance(failure, SingularStepMatrixError)
+        assert (failure.step, failure.time) == (7, 0.035)
+        assert batch_sizes == [5, 5] + [2] * 11 + [1] * 3
+        assert (len(lone[0]), len(lone[1])) == (10, 14)
+        assert warned == lone[0] + lone[1]

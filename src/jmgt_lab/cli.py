@@ -305,25 +305,21 @@ def _energy_audit(
     runs = _solve_linear(
         3, members, basis, constant_field(1.0), None, config.signal, config.solver, config.bc
     )
-    first: tuple[Trajectory, Energies] | None = None
-    table = []
-    for tau, traj in zip(taus, runs):
-        energies = _energies(traj, basis)
-        if first is None:
-            first = traj, energies
-        for report in _audits(energies, bundle):
-            table.append(
-                [
-                    tau,
-                    report.mode.value,
-                    report.lhs_total,
-                    report.rhs_total,
-                    report.ratio,
-                    report.log_constant,
-                    ";".join(report.flags),
-                ]
-            )
-    return *first, table
+    energies = [_energies(traj, basis) for traj in runs]
+    table = [
+        [
+            tau,
+            report.mode.value,
+            report.lhs_total,
+            report.rhs_total,
+            report.ratio,
+            report.log_constant,
+            ";".join(report.flags),
+        ]
+        for tau, run_energies in zip(taus, energies)
+        for report in _audits(run_energies, bundle)
+    ]
+    return runs[0], energies[0], table
 
 
 def _failure_rows(exc: SolverFailure) -> list[list]:
@@ -399,8 +395,9 @@ def run(
         print(f"config error: {subcommand}: {exc}", file=sys.stderr)
         return 1
 
-    # the limit-study reference and the mms runs carry no flux columns
-    flux = None if subcommand in ("limit-study", "mms") else boundary_flux(traj, traj.params, basis)
+    # the limit-study reference carries no flux columns; the mms runs are pure Neumann,
+    # so boundary_flux gives them none
+    flux = None if subcommand == "limit-study" else boundary_flux(traj, traj.params, basis)
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory(out / "trajectory.csv", traj)
     _write_energy(out / "energy.csv", *energies, flux)

@@ -201,16 +201,6 @@ def _prepare_data(
     return members, quad, loads
 
 
-def _solve_step(matrix: np.ndarray, rhs: np.ndarray, step: int, time: float) -> np.ndarray:
-    try:
-        solution = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStepMatrixError(step, time) from exc
-    if not np.all(np.isfinite(solution)):
-        raise SingularStepMatrixError(step, time)
-    return solution
-
-
 def _integrate(
     order: int,
     members: list[ModelParams],
@@ -225,10 +215,10 @@ def _integrate(
 
     The members of a batch share basis, quadrature, time grid and boundary
     kind, and are stepped together.  Member b has parameters ``members[b]``,
-    its masses in ``masses`` (member axis first; the first ``B`` members are
-    read, and a member axis of 1 is shared by all) and its load ``loads[b, m]``
-    at grid time m.  Each step makes one stacked solve.  Every number of a
-    member has the bits of a lone run of it, and B = 1 is the single run.
+    its masses in ``masses`` (member axis first, of length B, or 1 for masses
+    shared by all) and its load ``loads[b, m]`` at grid time m.  Each step
+    makes one stacked solve.  Every number of a member has the bits of a lone
+    run of it, and B = 1 is the single run.
 
     The stored derivatives are xi and its first ``order - 1`` time
     derivatives, and the highest of them is the unknown of each step.  With
@@ -248,11 +238,13 @@ def _integrate(
     switch to c0 = 1.5.  The summation order is that of a per-step sum, so
     reusing a matrix gives the same bits as rebuilding it.
 
-    Returns the trajectories and None, or, when a member's step solve fails,
-    the trajectories of the members before it and its
-    SingularStepMatrixError, as if the members ran one after another: the
-    members after it are dropped, the ones before it run to the end, and a
-    failure among them takes precedence.
+    Every member is stepped to the horizon, and failures are read after the
+    loop: a member fails at its first step with a stored derivative that is
+    not finite (a singular stacked solve falls back to one solve per member,
+    and a singular member's step is NaN).  Returns the trajectories and None,
+    or the trajectories of the members before the first failing one and its
+    SingularStepMatrixError, caused by that step's LinAlgError if any: the
+    failure of running the members one after another.
     """
     n = basis.n
     steps = config.n_steps
@@ -289,6 +281,7 @@ def _integrate(
     derivs = np.zeros((order + 1, count, steps + 1, n))
     if order == 3:
         derivs[3, :, 0] = loads[:, 0] / np.array([[params.tau] for params in members])
+    singular = {}  # (member, step) -> the LinAlgError of that member's solve at that step
     for m in range(steps):
         if m == 0:
             hist = derivs[:order, :, 0]
@@ -296,7 +289,7 @@ def _integrate(
             hist = 2.0 * derivs[:order, :, m] - 0.5 * derivs[:order, :, m - 1]
         s, gains, fixed, inertia_term = plans[min(m, 1)]
         if m == 0 or masses.changed[m - 1]:
-            np.add(masses.matrix(m + 1)[:count], acc_extra, out=coefficients[2])
+            np.add(masses.matrix(m + 1), acc_extra, out=coefficients[2])
         if m < 2 or masses.changed[m - 1]:
             matrix = fixed + gains[2] * coefficients[2]
             if inertia_term is not None:
@@ -307,21 +300,21 @@ def _integrate(
             shifts[j] = (shifts[j + 1] + hist[j] / dt) / s
         rhs = loads[:, m + 1, :, None] - (coefficients @ shifts[..., None]).sum(axis=0)
         try:
-            top = _solve_step(matrix, rhs, m + 1, times[m + 1])
-        except SingularStepMatrixError:
+            top = np.linalg.solve(matrix, rhs)
+        except np.linalg.LinAlgError:
+            # one solve per member: a singular member's step is NaN, its error kept
+            top = np.empty_like(rhs)
             for member in range(count):
                 try:
-                    _solve_step(matrix[member], rhs[member], m + 1, times[m + 1])
-                except SingularStepMatrixError as failure:
-                    if member == 0:
-                        return [], failure
-                    survivors, earlier = _integrate(
-                        order, members[:member], basis, quad, masses, loads[:member], config, bc
-                    )
-                    return survivors, failure if earlier is None else earlier
-            raise
+                    top[member] = np.linalg.solve(matrix[member], rhs[member])
+                except np.linalg.LinAlgError as exc:
+                    top[member] = np.nan
+                    singular[member, m + 1] = exc
         derivs[:, :, m + 1] = gains * top[:, :, 0] + shifts
 
+    bad = ~np.isfinite(derivs[:, :, 1:]).all(axis=(0, 3))  # bad[b, m - 1]: step m of member b
+    failing = bad.any(axis=1)
+    stop = int(failing.argmax()) if failing.any() else count
     trajectories = [
         Trajectory(
             times=times,
@@ -332,9 +325,14 @@ def _integrate(
             bc=bc,
             params=params,
         )
-        for member, params in enumerate(members)
+        for member, params in enumerate(members[:stop])
     ]
-    return trajectories, None
+    if stop == count:
+        return trajectories, None
+    step = int(bad[stop].argmax()) + 1
+    failure = SingularStepMatrixError(step, times[step])
+    failure.__cause__ = singular.get((stop, step))
+    return trajectories, failure
 
 
 def _solve_linear(

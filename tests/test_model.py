@@ -18,6 +18,33 @@ from jmgt_lab import (
 
 from helpers import fd_derivative
 
+EPS = np.finfo(float).eps
+
+
+def leibniz_derivative(sig: WindowedSignal, t: float, order: int) -> tuple[float, float]:
+    """d^order/dt^order of A t^p e^(-sigma t) sin(omega t) by the three-factor Leibniz rule.
+
+    Sums m!/(a! b! c!) (t^p)^(a) (e^(-sigma t))^(b) (sin omega t)^(c) over
+    a + b + c = m, with sin's c-th derivative omega^c sin(omega t + c pi/2)
+    taken as a signed sine or cosine; real arithmetic only, unlike the complex
+    two-factor form of ``signal_eval``.  Returns the derivative and the sum of
+    the terms' magnitudes, the scale of its rounding error.
+    """
+    p, sigma, omega = sig.onset_power, sig.decay_rate, sig.frequency
+    quarter_turns = (math.sin, math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x))
+    terms = []
+    for a in range(min(order, p) + 1):
+        for b in range(order - a + 1):
+            c = order - a - b
+            multinomial = math.factorial(order) // (
+                math.factorial(a) * math.factorial(b) * math.factorial(c)
+            )
+            power = math.perm(p, a) * t ** (p - a)
+            decay = (-sigma) ** b * math.exp(-sigma * t)
+            wave = omega**c * quarter_turns[c % 4](omega * t)
+            terms.append(sig.amplitude * multinomial * power * decay * wave)
+    return math.fsum(terms), math.fsum(abs(term) for term in terms)
+
 
 class TestDerivedB:
     def test_paper_arithmetic(self):
@@ -212,12 +239,21 @@ class TestSignalEval:
         order=st.integers(1, 4),
     )
     @settings(max_examples=80, deadline=None)
-    def test_all_derivatives_against_fd_oracle(self, amplitude, frequency, decay, power, t, order):
+    def test_all_derivatives_against_leibniz_oracle(
+        self, amplitude, frequency, decay, power, t, order
+    ):
         sig = WindowedSignal(amplitude, frequency, power, decay)
         value = signal_eval(sig, t, order)
-        h = min(0.01, t / 6.0)
-        oracle, floor = fd_derivative(lambda s: signal_eval(sig, s, 0), t, order, h=h)
-        assert abs(value - oracle) <= 1e-7 * max(abs(oracle), abs(value)) + 10.0 * floor
+        oracle, scale = leibniz_derivative(sig, t, order)
+        assert abs(value - oracle) <= 64.0 * EPS * scale
+
+    def test_leibniz_oracle_on_a_former_fd_failure(self):
+        # the 11-point FD oracle missed its bound here by 20 %; a 50-digit
+        # evaluation gives -321.80741367524871
+        sig = WindowedSignal(1.0, 1.1863202946559266, 5, 0.0)
+        oracle, scale = leibniz_derivative(sig, 2.65625, 4)
+        assert abs(oracle - -321.80741367524871) <= 4.0 * EPS * scale
+        assert abs(signal_eval(sig, 2.65625, 4) - oracle) <= 64.0 * EPS * scale
 
     @given(
         amplitude=st.floats(-3.0, 3.0),

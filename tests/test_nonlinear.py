@@ -625,6 +625,52 @@ class TestLockstep:
         assert np.array_equal(traj.coeff, lone.coeff)
         assert np.array_equal(traj.coeff_tt, lone.coeff_tt)
 
+    @staticmethod
+    def failing_batch(alpha_rows):
+        """The second-order batch of ``alpha_rows`` (one per member) and its _integrate result."""
+        basis = build_basis(L, 4)
+        config = SolverConfig(dt=0.1, t_final=1.0, n_modes=4)
+        deltas = 1.0 - 0.2 * np.arange(len(alpha_rows))
+        members = [ModelParams(c2=1.0, delta=delta, tau=0.0) for delta in deltas]
+        members, quad, loads = jmgt_lab.integrate._prepare_data(
+            2, members, basis, lambda x, t: np.cos(x) + t, None, config, BoundaryKind.PURE_NEUMANN
+        )
+        alpha = np.repeat(np.asarray(alpha_rows, dtype=float)[:, :, None], quad.count, axis=2)
+        return jmgt_lab.integrate._integrate(
+            2, members, basis, quad, TimeVaryingMass(basis, quad, alpha), loads, config,
+            BoundaryKind.PURE_NEUMANN,
+        )
+
+    def test_a_failing_batch_is_integrated_once(self, monkeypatch):
+        # the batch of the test above: the first failing member is read off the stepped batch,
+        # and the member before it is not integrated again
+        calls = []
+        original = jmgt_lab.integrate._integrate
+
+        def integrate(order, members, *rest):
+            calls.append(len(members))
+            return original(order, members, *rest)
+
+        monkeypatch.setattr(jmgt_lab.integrate, "_integrate", integrate)
+        rows = np.ones((3, 11))
+        rows[1, 6:] = 0.0
+        rows[2, 3:] = np.nan
+        trajectories, failure = self.failing_batch(rows)
+        assert calls == [3]
+        assert len(trajectories) == 1
+        assert (failure.step, type(failure.__cause__)) == (6, np.linalg.LinAlgError)
+
+    def test_a_singular_step_after_a_nan_step_is_not_the_cause(self):
+        # member 1's alpha is NaN from step 3 and zero from step 6: run alone, it fails
+        # at step 3 with no LinAlgError behind it, and so it does in the batch
+        rows = np.ones((2, 11))
+        rows[1, 3:6] = np.nan
+        rows[1, 6:] = 0.0
+        for batch in (rows, rows[1:]):
+            trajectories, failure = self.failing_batch(batch)
+            assert len(trajectories) == len(batch) - 1
+            assert (failure.step, failure.__cause__) == (3, None)
+
     def test_singular_step_in_a_round_stops_at_its_member(self, monkeypatch):
         # round 2 reports a singular step for member 2 (the third of five): the members
         # before it iterate on to convergence, the ones after it stop, and the warnings

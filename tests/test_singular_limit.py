@@ -125,6 +125,24 @@ def test_normalized_error_converges_in_n_modes():
     assert all(fine < coarse / 5 for coarse, fine in zip(changes, changes[1:])), ratios
 
 
+def test_limit_table_error_budget():
+    # how far the n = 8 table is from converged: halving dt moves energy_error by
+    # 3.7e-5 to 2.2e-4 relative (BDF2; implicit Euler would move it by about 2e-2), and
+    # doubling n_modes by 6.9e-3 to 8.5e-3, so at n = 8 the spatial error dominates
+    config = parse_config_text(CONFIG.format(dt=0.01, amplitude=0.5))
+    config = replace(config, tau_sweep=(0.1, 0.01, 0.001))
+
+    def energy_errors(**solver):
+        study = replace(config, solver=replace(config.solver, **solver))
+        return [row.energy_error for row in limit_study(study)[0].rows]
+
+    base = energy_errors()
+    for refined, budget in ((dict(dt=0.005), 1e-3), (dict(n_modes=16), 2e-2)):
+        refined_errors = energy_errors(**refined)
+        moves = [abs(fine - coarse) / coarse for coarse, fine in zip(base, refined_errors)]
+        assert max(moves) < budget, (refined, moves)
+
+
 def test_study_below_the_smallness_threshold_converges():
     # the lower half of the smallness bracket: at amplitude 3.85 every member and the
     # Westervelt reference converge with positive margins, while at amplitude 4 the same

@@ -6,12 +6,14 @@ infinity, which the third-order system needs because tau multiplies its
 highest derivative.  Each step solves one n x n system for the highest stored
 derivative; the lower ones follow by back-substitution.  The stepping core
 takes a batch of members that share basis, quadrature and time grid, with
-their masses and loads, and makes one stacked solve per step; a single run is
-a batch of one.  The time-invariant part of the step matrix is built once per
-BDF coefficient; the mass and the step matrix are rebuilt only at a step whose
-row of alpha differs from the previous one, so a constant-alpha run builds one
-mass and two step matrices (startup and BDF2).  ``_prepare_data`` holds the
-rules that define the systems for the linear and the fixed-point drivers.
+their masses and loads; a single run is a batch of one.  The time-invariant
+part of the step matrix is built once per BDF coefficient; the mass and the
+step matrix are rebuilt only at a step whose row of alpha differs from the
+previous one, so a constant-alpha run builds one mass and two step matrices
+(startup and BDF2).  A member whose mass never changes inverts those two
+matrices and steps by matrix-vector products; the others make one stacked
+solve per step.  ``_prepare_data`` holds the rules that define the systems for
+the linear and the fixed-point drivers.
 """
 
 from __future__ import annotations
@@ -201,6 +203,24 @@ def _prepare_data(
     return members, quad, loads
 
 
+def _by_member(op, members: np.ndarray, singular: dict, step: int, *stacks: np.ndarray):
+    """``op`` on stacked arrays; when the stack is singular, one member at a time.
+
+    ``members`` names the members of the stacks.  A singular member's result
+    is NaN and its LinAlgError is kept as ``singular[member, step]``.
+    """
+    try:
+        return op(*stacks)
+    except np.linalg.LinAlgError:
+        result = np.full_like(stacks[-1], np.nan)
+        for i, member in enumerate(members):
+            try:
+                result[i] = op(*(stack[i] for stack in stacks))
+            except np.linalg.LinAlgError as exc:
+                singular[member, step] = exc
+        return result
+
+
 def _integrate(
     order: int,
     members: list[ModelParams],
@@ -216,9 +236,13 @@ def _integrate(
     The members of a batch share basis, quadrature, time grid and boundary
     kind, and are stepped together.  Member b has parameters ``members[b]``,
     its masses in ``masses`` (member axis first, of length B, or 1 for masses
-    shared by all) and its load ``loads[b, m]`` at grid time m.  Each step
-    makes one stacked solve.  Every number of a member has the bits of a lone
-    run of it, and B = 1 is the single run.
+    shared by all) and its load ``loads[b, m]`` at grid time m.  A steady
+    member (``masses.steady``, its mass never changes after the first step)
+    inverts its step matrix when it is built, at the startup c0 and at the
+    BDF2 c0, and each of its steps is ``inverse @ rhs``; the other members
+    make one stacked solve per step.  The choice is per member, so every
+    number of a member has the bits of a lone run of it, and B = 1 is the
+    single run.  A batch of one kind is one stack; a mixed one splits in two.
 
     The stored derivatives are xi and its first ``order - 1`` time
     derivatives, and the highest of them is the unknown of each step.  With
@@ -239,10 +263,11 @@ def _integrate(
     reusing a matrix gives the same bits as rebuilding it.
 
     Every member is stepped to the horizon, and failures are read after the
-    loop: a member fails at its first step with a stored derivative that is
-    not finite (a singular stacked solve falls back to one solve per member,
-    and a singular member's step is NaN).  Returns the trajectories and None,
-    or the trajectories of the members before the first failing one and its
+    loop: a member fails at its first step, step 0 (the F(0)/tau of order 3)
+    included, with a stored derivative that is not finite.  A singular stacked
+    solve or inversion falls back to one member at a time, and a singular
+    member's step or inverse is NaN.  Returns the trajectories and None, or
+    the trajectories of the members before the first failing one and its
     SingularStepMatrixError, caused by that step's LinAlgError if any: the
     failure of running the members one after another.
     """
@@ -277,11 +302,20 @@ def _integrate(
         inertia_term = gains[3] * coefficients[3] if order == 3 else None
         plans.append((s, gains[:, None, None], fixed, inertia_term))
 
+    # a uniform batch is one part, taken as a view; a mixed one splits by steadiness
+    steady = np.broadcast_to(masses.steady, (count,))
+    if steady.all() or not steady.any():
+        parts = [(slice(None), bool(steady[0]))]
+    else:
+        parts = [(np.flatnonzero(steady), True), (np.flatnonzero(~steady), False)]
+    ids = np.arange(count)
+    inverses = [None] * len(parts)
+
     # derivs[j, b] is member b's j-th time derivative; derivs[order] is the BDF difference
     derivs = np.zeros((order + 1, count, steps + 1, n))
     if order == 3:
         derivs[3, :, 0] = loads[:, 0] / np.array([[params.tau] for params in members])
-    singular = {}  # (member, step) -> the LinAlgError of that member's solve at that step
+    singular = {}  # (member, step) -> the LinAlgError of that member's solve or inverse
     for m in range(steps):
         if m == 0:
             hist = derivs[:order, :, 0]
@@ -299,20 +333,18 @@ def _integrate(
         for j in range(order - 2, -1, -1):
             shifts[j] = (shifts[j + 1] + hist[j] / dt) / s
         rhs = loads[:, m + 1, :, None] - (coefficients @ shifts[..., None]).sum(axis=0)
-        try:
-            top = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError:
-            # one solve per member: a singular member's step is NaN, its error kept
-            top = np.empty_like(rhs)
-            for member in range(count):
-                try:
-                    top[member] = np.linalg.solve(matrix[member], rhs[member])
-                except np.linalg.LinAlgError as exc:
-                    top[member] = np.nan
-                    singular[member, m + 1] = exc
+        top = np.empty_like(rhs)
+        for p, (part, inverted) in enumerate(parts):
+            if not inverted:
+                stacks = matrix[part], rhs[part]
+                top[part] = _by_member(np.linalg.solve, ids[part], singular, m + 1, *stacks)
+                continue
+            if m < 2:
+                inverses[p] = _by_member(np.linalg.inv, ids[part], singular, m + 1, matrix[part])
+            top[part] = inverses[p] @ rhs[part]
         derivs[:, :, m + 1] = gains * top[:, :, 0] + shifts
 
-    bad = ~np.isfinite(derivs[:, :, 1:]).all(axis=(0, 3))  # bad[b, m - 1]: step m of member b
+    bad = ~np.isfinite(derivs).all(axis=(0, 3))  # bad[b, m]: step m of member b
     failing = bad.any(axis=1)
     stop = int(failing.argmax()) if failing.any() else count
     trajectories = [
@@ -329,7 +361,7 @@ def _integrate(
     ]
     if stop == count:
         return trajectories, None
-    step = int(bad[stop].argmax()) + 1
+    step = int(bad[stop].argmax())
     failure = SingularStepMatrixError(step, times[step])
     failure.__cause__ = singular.get((stop, step))
     return trajectories, failure

@@ -158,11 +158,13 @@ def _picard_loop(
     WESTERVELT solves the second-order system, the others the third-order
     one; RELAXED_JMGT clamps alpha, and every other variant is guarded.
     Round r integrates iterate r of every member still iterating in one
-    ``_integrate`` call, so one stacked solve per step serves them all; a
-    member leaves the batch once it converges.  Each member's masses are
-    formed step by step from its previous iterate's psi_t (``TimeVaryingMass``
-    with k, and with T built once per run unless clamped), and round 1 freezes
-    the zero iterate, so its unclamped masses are I.
+    ``_integrate`` call, so one stacked step serves them all; a member leaves
+    the batch once it converges.  Each member's masses are formed step by
+    step from its previous iterate's psi_t (``TimeVaryingMass`` with k, and
+    with T built once per run unless clamped).  Round 1 freezes the zero
+    iterate, so its masses never change (the unclamped ones are I) and its
+    step matrices are inverted once; a later round solves at every step,
+    unless k = 0.
     Results, failures and degeneracy warnings are those of running the
     members one after another in ``members`` order: once a member fails, the
     members after it stop and the ones before it run on, and the first

@@ -311,6 +311,23 @@ class TestLoad:
             assert np.array_equal(loads[m], row)
             assert np.array_equal(assemble_load(basis, quad, f, g, params, float(t)), row)
 
+    def test_scalar_source_broadcasts_over_the_nodes(self):
+        # a source that returns a Python scalar loads the bits of one that fills the nodes
+        basis = build_basis(2.0, 6)
+        quad = build_quadrature(2.0, 24)
+        params = ModelParams(c2=1.3, delta=0.7, tau=0.2)
+        times = 0.01 * np.arange(51)
+
+        def scalar(x, t):
+            return 0.3 + math.sin(7.0 * t)
+
+        def full(x, t):
+            return np.full_like(np.asarray(x, dtype=float), scalar(x, t))
+
+        loads = assemble_loads(basis, quad, scalar, None, params, times)
+        assert np.array_equal(loads, assemble_loads(basis, quad, full, None, params, times))
+        assert np.any(loads != 0.0)
+
 
 class TestHarmonicExtension:
     def test_zero_data_zero_profile(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from jmgt_lab import (
 )
 from jmgt_lab import nonlinear
 from jmgt_lab.assembly import CoefficientField, TimeVaryingMass
+from jmgt_lab.integrate import _integrate, _prepare_data
 from helpers import manufactured_run, z_ode_residual, zero_trajectory
 
 L = math.pi
@@ -395,7 +397,11 @@ class TestDiscreteEquations:
 
 
 class TestStepOperatorOncePerRun:
-    """Mass assemblies and step solves per run, counted where the bench tracer counts them."""
+    """Mass assemblies, step solves and step-matrix inversions per run.
+
+    A member whose mass never changes inverts its step matrix twice (startup and
+    BDF2) and steps by products with the inverse; any other member solves every step.
+    """
 
     PARAMS = ModelParams(c2=1.0, delta=1.0, tau=0.1, k=0.4, beta=0.5)
     DRIVE = WindowedSignal(0.5, 2.0, 5, 1.0)
@@ -418,28 +424,36 @@ class TestStepOperatorOncePerRun:
     def test_constant_field_assembles_one_mass(self, monkeypatch, solve, bc):
         masses = self.count(monkeypatch, TimeVaryingMass, "matrix")
         solves = self.count(monkeypatch, np.linalg, "solve")
+        inversions = self.count(monkeypatch, np.linalg, "inv")
         basis = build_basis(L, self.CONFIG.n_modes)
         solve(self.PARAMS, basis, constant_field(1.0), None, self.DRIVE, self.CONFIG, bc)
-        assert len(masses) == 1
-        assert len(solves) == self.CONFIG.n_steps
+        assert (len(masses), len(solves), len(inversions)) == (1, 0, 2)
+
+    def count_rounds(self, monkeypatch):
+        """(batch size, masses, solves, inversions) of every Picard round, appended as it runs."""
+        masses = self.count(monkeypatch, TimeVaryingMass, "matrix")
+        solves = self.count(monkeypatch, np.linalg, "solve")
+        inversions = self.count(monkeypatch, np.linalg, "inv")
+        per_round = []
+        original = nonlinear._integrate
+
+        def integrate(order, members, *args):
+            before = len(masses), len(solves), len(inversions)
+            result = original(order, members, *args)
+            after = len(masses), len(solves), len(inversions)
+            per_round.append((len(members), *(b - a for a, b in zip(before, after))))
+            return result
+
+        monkeypatch.setattr(nonlinear, "_integrate", integrate)
+        return per_round
 
     @pytest.mark.parametrize(
         "taus", [(0.1,), (0.1, 0.01, 0.001), ()], ids=["one", "three", "westervelt"]
     )
     def test_picard_assembles_one_mass_for_the_first_iterate_only(self, monkeypatch, taus):
-        # every round steps its batch with one (stacked) mass per step and one stacked solve
-        masses = self.count(monkeypatch, TimeVaryingMass, "matrix")
-        solves = self.count(monkeypatch, np.linalg, "solve")
-        per_round = []
-        original = nonlinear._integrate
-
-        def integrate(order, members, *args):
-            before = len(masses), len(solves)
-            result = original(order, members, *args)
-            per_round.append((len(members), len(masses) - before[0], len(solves) - before[1]))
-            return result
-
-        monkeypatch.setattr(nonlinear, "_integrate", integrate)
+        # round 1 freezes the zero iterate, so its (stacked) mass is built and its step
+        # matrices inverted once; every later round builds a mass and solves at every step
+        per_round = self.count_rounds(monkeypatch)
         basis = build_basis(L, self.CONFIG.n_modes)
         if taus:
             members = [ModelParams(c2=1.0, delta=1.0, tau=tau, k=0.4, beta=0.5) for tau in taus]
@@ -457,9 +471,21 @@ class TestStepOperatorOncePerRun:
         assert min(iterations) >= 3
         rounds = range(1, max(iterations) + 1)
         batch_sizes = [sum(count >= r for count in iterations) for r in rounds]
-        assert per_round == [(batch_sizes[0], 1, steps)] + [
-            (size, steps, steps) for size in batch_sizes[1:]
+        assert per_round == [(batch_sizes[0], 1, 0, 2)] + [
+            (size, steps, steps, 0) for size in batch_sizes[1:]
         ]
+
+    def test_zero_k_picard_never_solves(self, monkeypatch):
+        # with k = 0 the coefficient is exactly 1 whatever the iterate, so every round
+        # builds one mass and inverts its two step matrices
+        per_round = self.count_rounds(monkeypatch)
+        basis = build_basis(L, self.CONFIG.n_modes)
+        params = replace(self.PARAMS, k=0.0)
+        _, report = solve_westervelt_nonlinear(
+            params, basis, None, self.DRIVE, self.CONFIG, BoundaryKind.MIXED
+        )
+        assert report.iterations == 2
+        assert per_round == [(1, 1, 0, 2)] * 2
 
 
 class TestMixedBoundary:
@@ -588,6 +614,50 @@ class TestRobustness:
             solve(params, basis, field, lambda x, t: np.ones_like(x), None, config)
         assert info.value.step == 1
         assert info.value.time == config.dt
+
+    def test_non_finite_third_derivative_at_t0_fails_at_step_0(self):
+        # coeff_ttt[0] = F(0)/tau is stored before the first step; a load that is
+        # NaN at t = 0 only leaves every later step finite
+        basis = build_basis(L, 3)
+        config = SolverConfig(dt=0.1, t_final=0.5, n_modes=3)
+        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
+
+        def source(x, t):
+            return np.full_like(np.asarray(x, dtype=float), np.nan if t == 0.0 else t)
+
+        with pytest.raises(SingularStepMatrixError) as info:
+            solve_smgt_linear(params, basis, constant_field(1.0), source, None, config)
+        assert (info.value.step, info.value.time) == (0, 0.0)
+        assert info.value.__cause__ is None
+
+    def test_singular_steady_member_fails_alone(self):
+        # alpha = 0 leaves the order-2 step matrix a zero row (mode 0 has no stiffness):
+        # the stacked inverse raises, the batch inverts one member at a time, and the
+        # healthy member keeps the bits of its lone run
+        basis = build_basis(L, 4)
+        config = SolverConfig(dt=0.1, t_final=1.0, n_modes=4)
+        members = [ModelParams(c2=1.0, delta=delta, tau=0.0) for delta in (1.0, 0.8)]
+
+        def source(x, t):
+            return np.cos(np.asarray(x, dtype=float)) + t
+
+        bc = BoundaryKind.PURE_NEUMANN
+        members, quad, loads = _prepare_data(2, members, basis, source, None, config, bc)
+        alpha = np.ones((2, config.n_steps + 1, quad.count))
+        alpha[1] = 0.0
+        masses = TimeVaryingMass(basis, quad, alpha)
+        assert masses.steady.tolist() == [True, True]
+        trajectories, failure = _integrate(2, members, basis, quad, masses, loads, config, bc)
+        assert isinstance(failure, SingularStepMatrixError)
+        assert (failure.step, failure.time) == (1, config.dt)
+        assert type(failure.__cause__) is np.linalg.LinAlgError
+        [traj] = trajectories
+        lone = solve_westervelt_linearized(
+            members[0], basis, constant_field(1.0), source, None, config
+        )
+        assert np.array_equal(traj.coeff, lone.coeff)
+        assert np.array_equal(traj.coeff_t, lone.coeff_t)
+        assert np.array_equal(traj.coeff_tt, lone.coeff_tt)
 
 
 class TestWesterveltSnapshot:

@@ -1,7 +1,10 @@
-"""The suite's settings in pyproject.toml hold: deprecations are errors, with one exception.
+"""The suite's settings in pyproject.toml hold: deprecations and runtime warnings are errors,
+with one exception.
 
 numpy is installed unpinned, so a deprecation that the package hits must
-fail the suite rather than scroll past in its summary.
+fail the suite rather than scroll past in its summary.  The CLI prints every
+RuntimeWarning, so one that the numerics emit (an overflow, an invalid
+operation on a failing step) must fail the suite too.
 """
 
 import warnings
@@ -13,6 +16,11 @@ import pytest
 def test_deprecation_is_an_error(category):
     with pytest.raises(category):
         warnings.warn("probe", category)
+
+
+def test_runtime_warning_is_an_error():
+    with pytest.raises(RuntimeWarning):
+        warnings.warn("probe", RuntimeWarning)
 
 
 def test_typeddict_deprecation_of_mypy_extensions_is_ignored():

@@ -50,6 +50,7 @@ from .exceptions import (
     InvalidParameters,
     JmgtLabError,
     NonDegeneracyViolated,
+    NonFiniteNormError,
     PicardDivergenceError,
     SingularStepMatrixError,
     SolverFailure,

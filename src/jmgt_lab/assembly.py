@@ -184,11 +184,10 @@ class TimeVaryingMass:
     I - 2k * (c @ T).reshape(n, n), with no quadrature (zero velocity or
     k = 0 gives I exactly).  Every other mass is the quadrature Gram of
     ``alpha_values(m)``, clamp_h(psi_t, k) for an iterate without ``products``.
-    ``changed[m - 2]`` tells whether row m (m >= 2) differs from row m - 1 in
-    some member; a NaN differs from itself.  ``steady[b]`` tells that member
-    b's mass never changes after M(t_1): none of its rows from 1 on differs
-    from the one before.  A member with k = 0 is steady and changes no row,
-    since its coefficient is exactly 1 whatever psi_t is.
+    ``constant`` tells that no mass of the batch changes after M(t_1): no
+    member's row from 1 on differs from the one before (a NaN differs from
+    itself, and a row of a member with k = 0 never differs, since its
+    coefficient is exactly 1 whatever psi_t is).
     """
 
     def __init__(
@@ -207,8 +206,7 @@ class TimeVaryingMass:
         differs = np.any(rows[..., 2:, :] != rows[..., 1:-1, :], axis=-1)
         if k is not None:
             differs &= k != 0.0
-        self.changed = np.any(differs, axis=tuple(range(differs.ndim - 1)))
-        self.steady = ~np.any(differs, axis=-1)
+        self.constant = not differs.any()
 
     def alpha_values(self, m: int) -> np.ndarray:
         if self._k is None:

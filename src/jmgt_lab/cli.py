@@ -36,7 +36,13 @@ from .energy import (
     energy_higher,
     energy_lower,
 )
-from .exceptions import ConfigFileError, InvalidParameters, NonDegeneracyViolated, SolverFailure
+from .exceptions import (
+    ConfigFileError,
+    InvalidParameters,
+    NonDegeneracyViolated,
+    NonFiniteNormError,
+    SolverFailure,
+)
 from .integrate import Trajectory, _solve_linear, solve_smgt_linear, solve_westervelt_linearized
 from .nonlinear import (
     NonlinearVariant,
@@ -132,14 +138,6 @@ class LimitStudyResult:
     reference_iterations: int
     reference_margin: float
 
-    def __post_init__(self):
-        taus = [row.tau for row in self.rows]
-        if any(b >= a for a, b in zip(taus, taus[1:])):
-            raise ValueError("tau column must be strictly decreasing")
-        for row in self.rows:
-            if not (math.isfinite(row.velocity_error) and math.isfinite(row.energy_error)):
-                raise ValueError(f"non-finite error at tau = {row.tau}")
-
 
 @dataclass(frozen=True)
 class MmsRow:
@@ -156,7 +154,8 @@ def limit_study(config: ExperimentConfig) -> tuple[LimitStudyResult, Trajectory]
     run per sweep entry with the damping coefficient recomputed from tau; the
     sweep members iterate in lockstep.  All runs share the basis, grid, and
     fixed-point tolerances.  A failing member aborts the study with that run's
-    diagnosis, the first failing member in sweep order.
+    diagnosis, the first failing member in sweep order; an error that is not
+    finite raises NonFiniteNormError.
     """
     if config.tau_sweep is None:
         raise ConfigFileError(["limit-study requires a tau_sweep entry in [experiment]"])
@@ -174,6 +173,9 @@ def limit_study(config: ExperimentConfig) -> tuple[LimitStudyResult, Trajectory]
         diff = reference - traj
         velocity_error = float(np.sqrt((diff.coeff_t**2).sum(axis=1)).max())
         energy_error = float(np.sqrt(energy_higher(diff, basis).total(AuditMode.HIGHER)))
+        for name, error in (("velocity", velocity_error), ("energy", energy_error)):
+            if not math.isfinite(error):
+                raise NonFiniteNormError(f"the {name} error at tau = {tau}", error)
         rows.append(
             LimitRow(
                 tau=tau,
@@ -343,7 +345,8 @@ def run(
     is written; on solver failure only report.csv is written, describing the
     failure.  ``out_dir`` is created only when a file is written into it.
     Each warning of the solve, repeats included, goes to stderr as one
-    ``warning: <message>`` line.
+    ``warning: <message>`` line.  numpy's overflow and invalid-value warnings
+    are off: a run that overflows fails with NonFiniteNormError instead.
     """
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
@@ -356,7 +359,7 @@ def run(
 
     basis = build_basis(config.length, config.solver.n_modes)
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("always", RuntimeWarning)
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             if subcommand in _SOLVE_VARIANTS:

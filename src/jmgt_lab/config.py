@@ -75,8 +75,8 @@ def _cast(kind: str, raw: str):
             raise ValueError(f"expected an integer, got {raw!r}")
         return int(value)
     if kind == "float_list":
-        parts = [part.strip() for part in raw.split(",")]
-        return tuple(_finite(part) for part in parts if part)
+        entries = [entry.strip() for entry in raw.split(",")]
+        return tuple(_finite(entry) for entry in entries if entry)
     if kind == "str":
         return raw.strip()
     raise AssertionError(kind)

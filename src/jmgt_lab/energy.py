@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .basis import End, SpectralBasis, trace_vector
-from .exceptions import InconsistentEnergyError
+from .exceptions import InconsistentEnergyError, NonFiniteNormError
 from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal, signal_eval
 
 if TYPE_CHECKING:
@@ -236,7 +236,8 @@ class DataNorms:
 
     ``signal_sup[m]`` and ``signal_l2[m]`` are the sup-in-time and L2-in-time
     norms of the m-th signal derivative, m = 0..3 (boundary norms are plain
-    absolute values on an interval end).
+    absolute values on an interval end).  ``data_norms`` stores numpy floats,
+    so a total whose squares overflow is not finite rather than an OverflowError.
     """
 
     signal_sup: tuple[float, ...]
@@ -270,8 +271,8 @@ def data_norms(g: WindowedSignal | None, config: SolverConfig) -> DataNorms:
     sups, l2s = [], []
     for m in range(4):
         series = signal_eval(g, times, m) if g is not None else np.zeros(times.size)
-        sups.append(float(np.abs(series).max()))
-        l2s.append(float(np.sqrt(trapezoid_total(series**2, config.dt))))
+        sups.append(np.abs(series).max())
+        l2s.append(np.sqrt(trapezoid_total(series**2, config.dt)))
     return DataNorms(signal_sup=tuple(sups), signal_l2=tuple(l2s))
 
 
@@ -304,11 +305,15 @@ def audit_estimate(
     the exp(1/tau)-shaped constant, flagging it as not tau-robust once it
     exceeds 1e100.  TAU_UNIFORM uses the tau-independent accounting and
     HIGHER the second-derivative energies; for those two modes the ratio is
-    meant to be judged across a tau sweep by the caller.
+    meant to be judged across a tau sweep by the caller.  An energy or data
+    total that is not finite raises NonFiniteNormError.
     """
     tau = energy.tau
     lhs = energy.total(mode)
     rhs = data.higher_total(tau) if mode is AuditMode.HIGHER else data.lower_total()
+    for side, total in (("energy", lhs), ("data", rhs)):
+        if not np.isfinite(total):
+            raise NonFiniteNormError(f"the {side} side of the {mode.value} audit", total)
 
     if rhs == 0.0:
         if lhs > 0.0:

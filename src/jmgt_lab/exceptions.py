@@ -8,6 +8,7 @@ __all__ = [
     "SingularStepMatrixError",
     "NonDegeneracyViolated",
     "PicardDivergenceError",
+    "NonFiniteNormError",
     "CompatibilityError",
     "UnsupportedOrderError",
     "InconsistentEnergyError",
@@ -58,6 +59,15 @@ class PicardDivergenceError(SolverFailure):
         if len(differences) < max_iterations:
             reason = f"diverged at iteration {len(differences)} of at most {max_iterations}"
         super().__init__(f"fixed-point loop {reason} (last difference {last:.6g})")
+
+
+class NonFiniteNormError(SolverFailure):
+    """A norm that a run reports overflowed: the run is too large for double precision."""
+
+    def __init__(self, quantity: str, value: float):
+        self.quantity = quantity
+        self.value = value
+        super().__init__(f"{quantity} is not finite ({value}): the run overflows double precision")
 
 
 class CompatibilityError(ValueError, JmgtLabError):

@@ -7,13 +7,13 @@ highest derivative.  Each step solves one n x n system for the highest stored
 derivative; the lower ones follow by back-substitution.  The stepping core
 takes a batch of members that share basis, quadrature and time grid, with
 their masses and loads; a single run is a batch of one.  The time-invariant
-part of the step matrix is built once per BDF coefficient; the mass and the
-step matrix are rebuilt only at a step whose row of alpha differs from the
-previous one, so a constant-alpha run builds one mass and two step matrices
-(startup and BDF2).  A member whose mass never changes inverts those two
-matrices and steps by matrix-vector products; the others make one stacked
-solve per step.  ``_prepare_data`` holds the rules that define the systems for
-the linear and the fixed-point drivers.
+part of the step matrix is built once per BDF coefficient, and the core
+makes one choice per batch: a batch whose masses never change builds one
+mass, inverts its two step matrices (startup and BDF2) and steps by
+matrix-vector products; any other batch rebuilds the mass and the step
+matrix and makes one stacked solve at every step.  Every batch an entry
+point builds is of one kind throughout.  ``_prepare_data`` holds the rules
+that define the systems for the linear and the fixed-point drivers.
 """
 
 from __future__ import annotations
@@ -203,19 +203,19 @@ def _prepare_data(
     return members, quad, loads
 
 
-def _by_member(op, members: np.ndarray, singular: dict, step: int, *stacks: np.ndarray):
-    """``op`` on stacked arrays; when the stack is singular, one member at a time.
+def _by_member(op, singular: dict, step: int, *stacks: np.ndarray):
+    """``op`` on arrays stacked by member; when the stack is singular, one member at a time.
 
-    ``members`` names the members of the stacks.  A singular member's result
-    is NaN and its LinAlgError is kept as ``singular[member, step]``.
+    A singular member's result is NaN and its LinAlgError is kept as
+    ``singular[member, step]``.
     """
     try:
         return op(*stacks)
     except np.linalg.LinAlgError:
         result = np.full_like(stacks[-1], np.nan)
-        for i, member in enumerate(members):
+        for member in range(len(result)):
             try:
-                result[i] = op(*(stack[i] for stack in stacks))
+                result[member] = op(*(stack[member] for stack in stacks))
             except np.linalg.LinAlgError as exc:
                 singular[member, step] = exc
         return result
@@ -225,7 +225,6 @@ def _integrate(
     order: int,
     members: list[ModelParams],
     basis: SpectralBasis,
-    quad: QuadratureRule,
     masses: TimeVaryingMass,
     loads: np.ndarray,
     config: SolverConfig,
@@ -233,16 +232,18 @@ def _integrate(
 ) -> tuple[list[Trajectory], SingularStepMatrixError | None]:
     """BDF2 core of both solvers; ``order`` is the system's order in time (3 or 2).
 
-    The members of a batch share basis, quadrature, time grid and boundary
-    kind, and are stepped together.  Member b has parameters ``members[b]``,
-    its masses in ``masses`` (member axis first, of length B, or 1 for masses
-    shared by all) and its load ``loads[b, m]`` at grid time m.  A steady
-    member (``masses.steady``, its mass never changes after the first step)
-    inverts its step matrix when it is built, at the startup c0 and at the
-    BDF2 c0, and each of its steps is ``inverse @ rhs``; the other members
-    make one stacked solve per step.  The choice is per member, so every
-    number of a member has the bits of a lone run of it, and B = 1 is the
-    single run.  A batch of one kind is one stack; a mixed one splits in two.
+    The members of a batch share basis, quadrature (``masses.quad``), time
+    grid and boundary kind, and are stepped together; B = 1 is the single
+    run.  Member b has parameters ``members[b]``, its masses in ``masses``
+    (member axis first, of length B, or 1 for masses shared by all) and its
+    load ``loads[b, m]`` at grid time m.  One rule steps the whole batch: if
+    ``masses.constant``, the mass is built once and the step matrix is
+    inverted at the startup and at the BDF2 c0, so each step is
+    ``inverse @ rhs``; otherwise each step rebuilds the mass and the step
+    matrix and makes one stacked solve.  Every batch an entry point builds is
+    uniform, so a member's numbers are bit for bit those of a lone run; in a
+    mixed batch, which only tests build, a constant member solves with the
+    others and matches its lone run to roundoff.
 
     The stored derivatives are xi and its first ``order - 1`` time
     derivatives, and the highest of them is the unknown of each step.  With
@@ -253,14 +254,9 @@ def _integrate(
     xi'' and xi''' is its BDF difference; for order 2 (params at tau = 0, so
     b = delta) the top is xi' and xi'' is its BDF difference.
 
-    The step matrix is the gain-weighted sum of the coefficients.  Its elastic,
+    The step matrix is the gain-weighted sum of the coefficients; its elastic,
     damping and inertia terms depend only on c0 (1 at the startup step, 1.5
-    after it), so they are summed once per c0.  The mass is assembled at the
-    first step and again only at a step whose row of alpha changes
-    (``masses.changed``), where only the mass slot of the coefficient
-    stack is rewritten; the step matrix is rebuilt at those steps and at the
-    switch to c0 = 1.5.  The summation order is that of a per-step sum, so
-    reusing a matrix gives the same bits as rebuilding it.
+    after it), so they are summed once per c0.
 
     Every member is stepped to the horizon, and failures are read after the
     loop: a member fails at its first step, step 0 (the F(0)/tau of order 3)
@@ -277,7 +273,7 @@ def _integrate(
     times = config.times
     count = len(members)
 
-    stiffness = assemble_stiffness(basis, quad)
+    stiffness = assemble_stiffness(basis, masses.quad)
     boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
 
     # momentum-balance coefficients of xi, xi', xi'' (M(t) + acc_extra) and xi''', per member
@@ -302,46 +298,42 @@ def _integrate(
         inertia_term = gains[3] * coefficients[3] if order == 3 else None
         plans.append((s, gains[:, None, None], fixed, inertia_term))
 
-    # a uniform batch is one part, taken as a view; a mixed one splits by steadiness
-    steady = np.broadcast_to(masses.steady, (count,))
-    if steady.all() or not steady.any():
-        parts = [(slice(None), bool(steady[0]))]
-    else:
-        parts = [(np.flatnonzero(steady), True), (np.flatnonzero(~steady), False)]
-    ids = np.arange(count)
-    inverses = [None] * len(parts)
+    def step_matrix(plan):
+        _, gains, fixed, inertia_term = plan
+        matrix = fixed + gains[2] * coefficients[2]
+        return matrix if inertia_term is None else matrix + inertia_term
+
+    singular = {}  # (member, step) -> the LinAlgError of that member's solve or inverse
+    if masses.constant:
+        np.add(masses.matrix(1), acc_extra, out=coefficients[2])
+        # the inverted startup (step 1) and BDF2 (steps 2 on) step matrices
+        inverted = [
+            _by_member(np.linalg.inv, singular, step, step_matrix(plan))
+            for step, plan in zip((1, 2), plans)
+        ]
 
     # derivs[j, b] is member b's j-th time derivative; derivs[order] is the BDF difference
     derivs = np.zeros((order + 1, count, steps + 1, n))
     if order == 3:
         derivs[3, :, 0] = loads[:, 0] / np.array([[params.tau] for params in members])
-    singular = {}  # (member, step) -> the LinAlgError of that member's solve or inverse
     for m in range(steps):
         if m == 0:
             hist = derivs[:order, :, 0]
         else:
             hist = 2.0 * derivs[:order, :, m] - 0.5 * derivs[:order, :, m - 1]
-        s, gains, fixed, inertia_term = plans[min(m, 1)]
-        if m == 0 or masses.changed[m - 1]:
-            np.add(masses.matrix(m + 1), acc_extra, out=coefficients[2])
-        if m < 2 or masses.changed[m - 1]:
-            matrix = fixed + gains[2] * coefficients[2]
-            if inertia_term is not None:
-                matrix = matrix + inertia_term
+        plan = plans[min(m, 1)]
+        s, gains = plan[:2]
         shifts = np.zeros((order + 1, count, n))
         shifts[order] = -hist[order - 1] / dt
         for j in range(order - 2, -1, -1):
             shifts[j] = (shifts[j + 1] + hist[j] / dt) / s
+        if not masses.constant:
+            np.add(masses.matrix(m + 1), acc_extra, out=coefficients[2])
         rhs = loads[:, m + 1, :, None] - (coefficients @ shifts[..., None]).sum(axis=0)
-        top = np.empty_like(rhs)
-        for p, (part, inverted) in enumerate(parts):
-            if not inverted:
-                stacks = matrix[part], rhs[part]
-                top[part] = _by_member(np.linalg.solve, ids[part], singular, m + 1, *stacks)
-                continue
-            if m < 2:
-                inverses[p] = _by_member(np.linalg.inv, ids[part], singular, m + 1, matrix[part])
-            top[part] = inverses[p] @ rhs[part]
+        if masses.constant:
+            top = inverted[min(m, 1)] @ rhs
+        else:
+            top = _by_member(np.linalg.solve, singular, m + 1, step_matrix(plan), rhs)
         derivs[:, :, m + 1] = gains * top[:, :, 0] + shifts
 
     bad = ~np.isfinite(derivs).all(axis=(0, 3))  # bad[b, m]: step m of member b
@@ -385,7 +377,7 @@ def _solve_linear(
     members, quad, loads = _prepare_data(order, members, basis, f, g, config, bc)
     # one shared coefficient: a member axis of 1 broadcasts over the batch
     masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, config.times)[None])
-    trajectories, failure = _integrate(order, members, basis, quad, masses, loads, config, bc)
+    trajectories, failure = _integrate(order, members, basis, masses, loads, config, bc)
     if failure is not None:
         raise failure
     return trajectories

@@ -26,7 +26,12 @@ import numpy as np
 from .assembly import SpaceTimeFn, TimeVaryingMass, _triple_products
 from .basis import SpectralBasis, mode_matrix
 from .energy import AuditMode, energy_lower
-from .exceptions import NonDegeneracyViolated, PicardDivergenceError, SolverFailure
+from .exceptions import (
+    NonDegeneracyViolated,
+    NonFiniteNormError,
+    PicardDivergenceError,
+    SolverFailure,
+)
 from .integrate import Trajectory, _integrate, _prepare_data
 from .model import BoundaryKind, ModelParams, SolverConfig, WindowedSignal
 
@@ -123,7 +128,9 @@ def _advance(
 ) -> bool:
     """Record a member's new iterate; True once the member has converged.
 
-    Raises the member's NonDegeneracyViolated (guarded runs only) or PicardDivergenceError.
+    Raises the member's NonDegeneracyViolated (guarded runs only), its
+    NonFiniteNormError (an iterate whose energy norm overflows) or
+    PicardDivergenceError.
     """
     margins = _margin_series(current, basis, current.params.k, config.eval_grid)
     margin = float(margins.min())
@@ -133,6 +140,8 @@ def _advance(
     report.margins.append(margin)
     # the distance from the zero iterate; current - 0.0 is current, bit for bit
     norm = float(np.sqrt(energy_lower(current, basis).total(AuditMode.TAU_UNIFORM)))
+    if not math.isfinite(norm):
+        raise NonFiniteNormError(f"the energy norm of fixed-point iterate {iteration}", norm)
     diff = norm if previous is None else trajectory_distance(current, previous, basis)
     report.differences.append(diff)
     report.iterate_norms.append(norm)
@@ -162,9 +171,10 @@ def _picard_loop(
     the batch once it converges.  Each member's masses are formed step by
     step from its previous iterate's psi_t (``TimeVaryingMass`` with k, and
     with T built once per run unless clamped).  Round 1 freezes the zero
-    iterate, so its masses never change (the unclamped ones are I) and its
-    step matrices are inverted once; a later round solves at every step,
-    unless k = 0.
+    iterate, so no mass of its batch changes (the unclamped ones are I) and
+    its step matrices are inverted once; a later round rebuilds and solves at
+    every step, unless k = 0.  The members of a study share k, so every round
+    is a uniform batch and each member keeps the bits of its lone run.
     Results, failures and degeneracy warnings are those of running the
     members one after another in ``members`` order: once a member fails, the
     members after it stop and the ones before it run on, and the first
@@ -188,7 +198,7 @@ def _picard_loop(
         masses = TimeVaryingMass(basis, quad, velocity, k[active], products)
         batch = loads if len(active) == len(members) else loads[active]
         iterates, singular = _integrate(
-            order, [members[i] for i in active], basis, quad, masses, batch, config, bc
+            order, [members[i] for i in active], basis, masses, batch, config, bc
         )
         if singular is not None:
             stop, failure = active[len(iterates)], singular

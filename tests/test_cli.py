@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from jmgt_lab import (
     BoundaryKind,
     ConfigFileError,
+    NonFiniteNormError,
     SolverConfig,
     build_basis,
     cli,
@@ -440,6 +442,14 @@ class TestRun:
         assert all(row.velocity_error == 0.0 for row in result.rows)
         assert all(row.energy_error == 0.0 for row in result.rows)
 
+    def test_limit_study_fails_on_a_non_finite_error(self, monkeypatch):
+        # an error norm that overflows is a solver failure, not a table row
+        infinite = SimpleNamespace(total=lambda mode: math.inf)
+        monkeypatch.setattr(cli, "energy_higher", lambda diff, basis: infinite)
+        config = parse_config_text(config_with(tau_sweep="0.1, 0.01"))
+        with pytest.raises(NonFiniteNormError, match=r"the energy error at tau = 0\.1 is not"):
+            limit_study(config)
+
     def test_limit_study_requires_sweep(self, tmp_path, capsys):
         config = parse_config_text(BASE_CONFIG)
         assert run("limit-study", config, out_dir=tmp_path, quiet=True) == 1
@@ -632,6 +642,56 @@ class TestMain:
         assert code == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "subcommand",
+        [
+            "solve-linear",
+            "solve-jmgt",
+            "solve-relaxed",
+            "solve-westervelt",
+            "energy-audit",
+            "limit-study",
+        ],
+    )
+    def test_main_reports_an_overflowing_run_as_a_solver_failure(
+        self, tmp_path, capsys, subcommand
+    ):
+        # the squares of a 1e160 drive and of the run it drives overflow a double; with
+        # k = 0 no degeneracy guard stops the run first
+        path = tmp_path / "experiment.cfg"
+        text = config_with(amplitude="1e160", k="0.0", tau_sweep="0.1, 0.01")
+        path.write_text(text, encoding="utf-8")
+        code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["report.csv"]
+        header, kind, message = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        assert (header, kind) == ("section,key,value", "failure,type,NonFiniteNormError")
+        assert message.startswith("failure,message,") and "is not finite" in message
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"solver failure: {message.removeprefix('failure,message,')}\n"
+
+    def test_main_rejects_mms_with_one_mode(self, tmp_path, capsys):
+        path = tmp_path / "experiment.cfg"
+        path.write_text(config_with(n_modes=1), encoding="utf-8")
+        code = main(["mms", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: mms requires n_modes >= 2\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_main_flags_a_tau_dependent_constant_past_1e100(self, tmp_path):
+        # log C = log(1/tau^2 + T^2 + 1) + (2/tau + 1 + T) T + log(1 + tau) is about 412.6
+        # at tau = 0.005 and T = 1, past the flag level 100 ln 10 (about 230.3)
+        path = tmp_path / "experiment.cfg"
+        path.write_text(config_with(tau=0.005, t_final=1.0), encoding="utf-8")
+        code = main(["solve-linear", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        rows = [line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines()]
+        values = {key: value for section, key, value in rows[1:] if section == "audit"}
+        assert 412.0 < float(values["TauDependent_log_constant"]) < 413.0
+        assert values["TauDependent_flag"] == "constant not tau-robust"
+        assert "TauUniform_flag" not in values
 
     def test_main_rejects_file_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "experiment.cfg"

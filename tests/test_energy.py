@@ -13,6 +13,7 @@ from jmgt_lab import (
     InconsistentEnergyError,
     LowerEnergy,
     ModelParams,
+    NonFiniteNormError,
     SolverConfig,
     Trajectory,
     WindowedSignal,
@@ -322,6 +323,19 @@ class TestAudit:
         zero_bundle = data_norms(None, SolverConfig(dt=0.01, t_final=1.0, n_modes=8))
         with pytest.raises(InconsistentEnergyError):
             audit_estimate(lower, zero_bundle, AuditMode.TAU_UNIFORM)
+
+    @pytest.mark.parametrize("mode", list(AuditMode))
+    def test_a_data_total_that_overflows_is_a_solver_failure(self, mode):
+        # the squares of a 1e160 drive overflow a double: a failure, not an OverflowError
+        lower, higher, _ = self.run_with_tau(0.1)
+        config = SolverConfig(dt=0.01, t_final=1.0, n_modes=8)
+        record = higher if mode is AuditMode.HIGHER else lower
+        with np.errstate(over="ignore", invalid="ignore"):
+            bundle = data_norms(WindowedSignal(1e160, 2.0, 5, 1.0), config)
+            with pytest.raises(NonFiniteNormError) as info:
+                audit_estimate(record, bundle, mode)
+        assert info.value.quantity == f"the data side of the {mode.value} audit"
+        assert not math.isfinite(info.value.value)
 
     def test_tau_uniform_ratio_stable_across_sweep(self):
         ratios = []

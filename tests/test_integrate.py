@@ -399,8 +399,8 @@ class TestDiscreteEquations:
 class TestStepOperatorOncePerRun:
     """Mass assemblies, step solves and step-matrix inversions per run.
 
-    A member whose mass never changes inverts its step matrix twice (startup and
-    BDF2) and steps by products with the inverse; any other member solves every step.
+    A batch whose masses never change inverts its step matrices twice (startup and
+    BDF2) and steps by products with the inverse; any other batch solves every step.
     """
 
     PARAMS = ModelParams(c2=1.0, delta=1.0, tau=0.1, k=0.4, beta=0.5)
@@ -474,6 +474,29 @@ class TestStepOperatorOncePerRun:
         assert per_round == [(batch_sizes[0], 1, 0, 2)] + [
             (size, steps, steps, 0) for size in batch_sizes[1:]
         ]
+
+    def test_a_batch_with_one_changing_member_solves_every_step(self, monkeypatch):
+        # the rule is one per batch: a constant member next to a changing one is solved
+        # with it at every step, and matches its lone (inverted) run to roundoff
+        bc = BoundaryKind.MIXED
+        basis = build_basis(L, self.CONFIG.n_modes)
+        members = [self.PARAMS, replace(self.PARAMS, tau=0.05)]
+        members, quad, loads = _prepare_data(3, members, basis, None, self.DRIVE, self.CONFIG, bc)
+        alpha = np.ones((2, self.CONFIG.n_steps + 1, quad.count))
+        alpha[1] += 0.2 * self.CONFIG.times[:, None]
+        masses = TimeVaryingMass(basis, quad, alpha)
+        assert not masses.constant
+        solves = self.count(monkeypatch, np.linalg, "solve")
+        inversions = self.count(monkeypatch, np.linalg, "inv")
+        trajectories, failure = _integrate(3, members, basis, masses, loads, self.CONFIG, bc)
+        assert failure is None
+        assert (len(solves), len(inversions)) == (self.CONFIG.n_steps, 0)
+        lone = solve_smgt_linear(
+            self.PARAMS, basis, constant_field(1.0), None, self.DRIVE, self.CONFIG, bc
+        )
+        for name in ("coeff", "coeff_t", "coeff_tt", "coeff_ttt"):
+            batch, alone = getattr(trajectories[0], name), getattr(lone, name)
+            assert np.abs(batch - alone).max() <= 1e-12 * np.abs(alone).max(), name
 
     def test_zero_k_picard_never_solves(self, monkeypatch):
         # with k = 0 the coefficient is exactly 1 whatever the iterate, so every round
@@ -646,8 +669,8 @@ class TestRobustness:
         alpha = np.ones((2, config.n_steps + 1, quad.count))
         alpha[1] = 0.0
         masses = TimeVaryingMass(basis, quad, alpha)
-        assert masses.steady.tolist() == [True, True]
-        trajectories, failure = _integrate(2, members, basis, quad, masses, loads, config, bc)
+        assert masses.constant
+        trajectories, failure = _integrate(2, members, basis, masses, loads, config, bc)
         assert isinstance(failure, SingularStepMatrixError)
         assert (failure.step, failure.time) == (1, config.dt)
         assert type(failure.__cause__) is np.linalg.LinAlgError

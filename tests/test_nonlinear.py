@@ -583,7 +583,8 @@ class TestLockstep:
 
     def test_stacked_singular_step_is_attributed_to_its_own_member(self):
         # with alpha = 0 the second-order step matrix has a zero row (mode 0 carries no
-        # stiffness); member 1 hits it at step 6, member 2 hits a NaN alpha at step 3
+        # stiffness); member 1 hits it at step 6, member 2 hits a NaN alpha at step 3, and
+        # member 0's alpha halves at step 5, so every member's mass changes
         basis = build_basis(L, 4)
         config = SolverConfig(dt=0.1, t_final=1.0, n_modes=4)
         members = [ModelParams(c2=1.0, delta=delta, tau=0.0) for delta in (1.0, 0.8, 0.6)]
@@ -595,10 +596,11 @@ class TestLockstep:
             2, members, basis, source, None, config, BoundaryKind.PURE_NEUMANN
         )
         alpha = np.ones((3, config.n_steps + 1, quad.count))
+        alpha[0, 5:] = 0.5
         alpha[1, 6:] = 0.0
         alpha[2, 3:] = np.nan
         trajectories, failure = jmgt_lab.integrate._integrate(
-            2, members, basis, quad, TimeVaryingMass(basis, quad, alpha), loads, config,
+            2, members, basis, TimeVaryingMass(basis, quad, alpha), loads, config,
             BoundaryKind.PURE_NEUMANN,
         )
 
@@ -620,7 +622,7 @@ class TestLockstep:
         assert type(failure.__cause__) is type(alone[0].__cause__) is np.linalg.LinAlgError
         [traj] = trajectories
         lone = solve_westervelt_linearized(
-            members[0], basis, constant_field(1.0), source, None, config
+            members[0], basis, field_of(alpha[0, :, 0]), source, None, config
         )
         assert np.array_equal(traj.coeff, lone.coeff)
         assert np.array_equal(traj.coeff_tt, lone.coeff_tt)
@@ -637,7 +639,7 @@ class TestLockstep:
         )
         alpha = np.repeat(np.asarray(alpha_rows, dtype=float)[:, :, None], quad.count, axis=2)
         return jmgt_lab.integrate._integrate(
-            2, members, basis, quad, TimeVaryingMass(basis, quad, alpha), loads, config,
+            2, members, basis, TimeVaryingMass(basis, quad, alpha), loads, config,
             BoundaryKind.PURE_NEUMANN,
         )
 

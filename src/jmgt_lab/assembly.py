@@ -184,6 +184,8 @@ class TimeVaryingMass:
     I - 2k * (c @ T).reshape(n, n), with no quadrature (zero velocity or
     k = 0 gives I exactly).  Every other mass is the quadrature Gram of
     ``alpha_values(m)``, clamp_h(psi_t, k) for an iterate without ``products``.
+    ``frozen_matrix`` forms the same masses from psi_t rows that are not
+    stored in ``rows``: the later rounds of a window of Picard rounds.
     ``constant`` tells that no mass of the batch changes after M(t_1): no
     member's row from 1 on differs from the one before (a NaN differs from
     itself, and a row of a member with k = 0 never differs, since its
@@ -200,8 +202,8 @@ class TimeVaryingMass:
     ):
         self.quad = quad
         self._modes = mode_matrix(basis, quad.nodes)
-        self._rows = rows
-        self._k = k
+        self.rows = rows
+        self.k = k
         self._products = products
         differs = np.any(rows[..., 2:, :] != rows[..., 1:-1, :], axis=-1)
         if k is not None:
@@ -209,19 +211,30 @@ class TimeVaryingMass:
         self.constant = not differs.any()
 
     def alpha_values(self, m: int) -> np.ndarray:
-        if self._k is None:
-            return self._rows[..., m, :]
-        velocity = (self._rows[:, m, None, :] @ self._modes)[:, 0]
-        return _frozen_coefficient(velocity, self._k, self._products is None)
+        if self.k is None:
+            return self.rows[..., m, :]
+        return self._coefficient(self.rows[:, m], self.k)
 
     def matrix(self, m: int) -> np.ndarray:
         """M(t_m), one per member; every mass of a run is built through here."""
         if self._products is None:
             return _weighted_gram(self._modes, self.quad.weights * self.alpha_values(m))
-        count, n = self._rows.shape[0], self._rows.shape[-1]
+        return self.frozen_matrix(self.rows[:, m], self.k)
+
+    def frozen_matrix(self, velocity: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The masses of this batch's coefficient at psi_t coefficient rows ``velocity[b]``
+        and nonlinearities ``k[b, 0]``; each has the bits of a lone row's."""
+        if self._products is None:
+            return _weighted_gram(self._modes, self.quad.weights * self._coefficient(velocity, k))
+        count, n = velocity.shape
         # a stacked [B, 1, n] @ [n, n*n] product gives each member the bits of a lone run
-        products = (self._rows[:, m, None, :] @ self._products).reshape(count, n, n)
-        return np.eye(n) - 2.0 * self._k[:, :, None] * products
+        products = (velocity[:, None, :] @ self._products).reshape(count, n, n)
+        return np.eye(n) - 2.0 * k[:, :, None] * products
+
+    def _coefficient(self, velocity: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The frozen Picard coefficient at the quadrature nodes of psi_t coefficient rows."""
+        values = (velocity[:, None, :] @ self._modes)[:, 0]
+        return _frozen_coefficient(values, k, self._products is None)
 
 
 def assemble_loads(

@@ -62,6 +62,11 @@ def trapezoid_running(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _weighted_max(tau: float, series: np.ndarray) -> float:
+    """tau times the maximum of a series; 0 at tau = 0, also when the series overflows."""
+    return tau * float(series.max()) if tau != 0.0 else 0.0
+
+
 class AuditMode(Enum):
     TAU_DEPENDENT = "TauDependent"
     TAU_UNIFORM = "TauUniform"
@@ -108,14 +113,14 @@ class LowerEnergy:
         if mode is AuditMode.TAU_DEPENDENT:
             return (
                 float(self.dual_accum[-1])
-                + self.tau * float(self.sq_tt_l2.max())
+                + _weighted_max(self.tau, self.sq_tt_l2)
                 + float(self.sq_t_h1.max())
             )
         return (
             float(self.tt_accum[-1])
             + float(self.sq_t_h1.max())
             + float(self.dual_accum[-1])
-            + self.tau * float(self.sq_tt_l2.max())
+            + _weighted_max(self.tau, self.sq_tt_l2)
         )
 
 
@@ -144,7 +149,7 @@ class HigherEnergy:
             raise ValueError(f"the higher energy has no {mode.value} side")
         return (
             float(self.ttt_l2_accum[-1])
-            + self.tau * float(self.sq_tt_h1.max())
+            + _weighted_max(self.tau, self.sq_tt_h1)
             + float(self.tt_h1_accum[-1])
             + float(self.sq_lap_t.max())
         )

@@ -12,8 +12,10 @@ makes one choice per batch: a batch whose masses never change builds one
 mass, inverts its two step matrices (startup and BDF2) and steps by
 matrix-vector products; any other batch rebuilds the mass and the step
 matrix and makes one stacked solve at every step.  Every batch an entry
-point builds is of one kind throughout.  ``_prepare_data`` holds the rules
-that define the systems for the linear and the fixed-point drivers.
+point builds is of one kind throughout.  A batch of the second kind can also
+be a window of consecutive Picard rounds of its members, each round one step
+behind the round whose psi_t forms its masses.  ``_prepare_data`` holds the
+rules that define the systems for the linear and the fixed-point drivers.
 """
 
 from __future__ import annotations
@@ -203,22 +205,23 @@ def _prepare_data(
     return members, quad, loads
 
 
-def _by_member(op, singular: dict, step: int, *stacks: np.ndarray):
+def _by_member(op, *stacks: np.ndarray):
     """``op`` on arrays stacked by member; when the stack is singular, one member at a time.
 
-    A singular member's result is NaN and its LinAlgError is kept as
-    ``singular[member, step]``.
+    Returns the result and the LinAlgError of each singular member by its
+    index in the stack; a singular member's result is NaN.
     """
     try:
-        return op(*stacks)
+        return op(*stacks), {}
     except np.linalg.LinAlgError:
         result = np.full_like(stacks[-1], np.nan)
+        errors = {}
         for member in range(len(result)):
             try:
                 result[member] = op(*(stack[member] for stack in stacks))
             except np.linalg.LinAlgError as exc:
-                singular[member, step] = exc
-        return result
+                errors[member] = exc
+        return result, errors
 
 
 def _integrate(
@@ -229,6 +232,7 @@ def _integrate(
     loads: np.ndarray,
     config: SolverConfig,
     bc: BoundaryKind,
+    rounds: int = 1,
 ) -> tuple[list[Trajectory], SingularStepMatrixError | None]:
     """BDF2 core of both solvers; ``order`` is the system's order in time (3 or 2).
 
@@ -245,6 +249,17 @@ def _integrate(
     mixed batch, which only tests build, a constant member solves with the
     others and matches its lone run to roundoff.
 
+    ``rounds`` > 1 steps a window of that many consecutive Picard rounds of
+    the members (``masses`` with k, and not constant) as one batch of
+    ``rounds * B`` rows, round-major.  Round 0 is the batch above.  Round j
+    starts j steps late, and its mass at its step m is formed by
+    ``masses.frozen_matrix`` from the psi_t that round j - 1 stored for
+    t_{m+1} one loop step earlier.  Row (j, b) stores grid time t in column
+    t + j of the window, so each loop step reads and writes one column of the
+    rows that are stepping.  The startup and BDF2 gains are per row; they
+    differ only at a round's startup step.  So every row does the operations
+    of its lone round and keeps its bits.
+
     The stored derivatives are xi and its first ``order - 1`` time
     derivatives, and the highest of them is the unknown of each step.  With
     s = c0/dt, BDF2 makes each lower derivative j an affine function of it,
@@ -258,35 +273,37 @@ def _integrate(
     damping and inertia terms depend only on c0 (1 at the startup step, 1.5
     after it), so they are summed once per c0.
 
-    Every member is stepped to the horizon, and failures are read after the
-    loop: a member fails at its first step, step 0 (the F(0)/tau of order 3)
-    included, with a stored derivative that is not finite.  A singular stacked
-    solve or inversion falls back to one member at a time, and a singular
-    member's step or inverse is NaN.  Returns the trajectories and None, or
-    the trajectories of the members before the first failing one and its
-    SingularStepMatrixError, caused by that step's LinAlgError if any: the
-    failure of running the members one after another.
+    Every row is stepped to the horizon, and failures are read after the
+    loop: a row fails at its first step, step 0 (the F(0)/tau of order 3)
+    included, with a stored derivative that is not finite.  So numpy's
+    overflow and invalid-value warnings are off in the loop.  A singular
+    stacked solve or inversion falls back to one row at a time, and a
+    singular row's step or inverse is NaN.  Returns the trajectories and
+    None, or the trajectories of the rows before the first failing one and
+    its SingularStepMatrixError, caused by that step's LinAlgError if any:
+    the failure of running the rows one after another.
     """
     n = basis.n
     steps = config.n_steps
     dt = config.dt
     times = config.times
     count = len(members)
+    rows = rounds * count
 
     stiffness = assemble_stiffness(basis, masses.quad)
     boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
 
-    # momentum-balance coefficients of xi, xi', xi'' (M(t) + acc_extra) and xi''', per member
-    coefficients = np.zeros((order + 1, count, n, n))
-    acc_extra = np.zeros((count, n, n))
-    for member, params in enumerate(members):
-        coefficients[0, member] = params.c2 * stiffness
-        coefficients[1, member] = params.b * stiffness
+    # momentum-balance coefficients of xi, xi', xi'' (M(t) + acc_extra) and xi''', per row
+    coefficients = np.zeros((order + 1, rows, n, n))
+    acc_extra = np.zeros((rows, n, n))
+    for row, params in enumerate(members * rounds):
+        coefficients[0, row] = params.c2 * stiffness
+        coefficients[1, row] = params.b * stiffness
         if boundary is not None:
-            coefficients[1, member] += params.c2 * params.beta * boundary
-            acc_extra[member] = params.b * params.beta * boundary
+            coefficients[1, row] += params.c2 * params.beta * boundary
+            acc_extra[row] = params.b * params.beta * boundary
         if order == 3:
-            coefficients[3, member] = params.tau * np.eye(n)
+            coefficients[3, row] = params.tau * np.eye(n)
 
     # per BDF coefficient c0 (startup, then BDF2): s, the gains of the coefficients
     # (derivative j = gains[j] * top + shifts[j]) and the step-matrix terms without mass
@@ -298,60 +315,112 @@ def _integrate(
         inertia_term = gains[3] * coefficients[3] if order == 3 else None
         plans.append((s, gains[:, None, None], fixed, inertia_term))
 
-    def step_matrix(plan):
+    def plan_of(m, lo, hi):
+        """The plan of rows lo:hi at loop step m, where the rows of round m take their startup."""
+        if m == 0 or m >= rounds:
+            s, gains, fixed, inertia_term = plans[min(m, 1)]
+            return s, gains, fixed[lo:hi], None if inertia_term is None else inertia_term[lo:hi]
+        startup = np.arange(lo, hi) >= m * count
+        (s0, gains0, fixed0, inertia0), (s1, gains1, fixed1, inertia1) = plans
+        matrix_rows = startup[:, None, None]
+        return (
+            np.where(startup, s0, s1)[:, None],
+            np.where(startup[:, None], gains0, gains1),
+            np.where(matrix_rows, fixed0[lo:hi], fixed1[lo:hi]),
+            None if inertia0 is None else np.where(matrix_rows, inertia0[lo:hi], inertia1[lo:hi]),
+        )
+
+    def step_matrix(plan, lo, hi):
         _, gains, fixed, inertia_term = plan
-        matrix = fixed + gains[2] * coefficients[2]
+        matrix = fixed + gains[2, ..., None] * coefficients[2, lo:hi]
         return matrix if inertia_term is None else matrix + inertia_term
 
-    singular = {}  # (member, step) -> the LinAlgError of that member's solve or inverse
+    singular = {}  # (row, step) -> the LinAlgError of that row's solve or inverse
     if masses.constant:
         np.add(masses.matrix(1), acc_extra, out=coefficients[2])
         # the inverted startup (step 1) and BDF2 (steps 2 on) step matrices
-        inverted = [
-            _by_member(np.linalg.inv, singular, step, step_matrix(plan))
-            for step, plan in zip((1, 2), plans)
-        ]
+        inverted = []
+        for step, plan in zip((1, 2), plans):
+            inverse, errors = _by_member(np.linalg.inv, step_matrix(plan, 0, rows))
+            singular.update(((row, step), exc) for row, exc in errors.items())
+            inverted.append(inverse)
+    if rounds > 1:
+        # the psi_t rows of one loop step's masses, round-major, and their k
+        velocity = np.empty((rows, n))
+        k_rows = np.tile(masses.k, (rounds, 1))
+        # row (j, b) at loop step m reads the load of grid time m + 1 - j
+        load_rows = loads.reshape(count * (steps + 1), n)
+        offsets = ((steps + 1) * np.arange(count) - np.arange(rounds)[:, None]).ravel()
 
-    # derivs[j, b] is member b's j-th time derivative; derivs[order] is the BDF difference
-    derivs = np.zeros((order + 1, count, steps + 1, n))
+    # derivs[j, r] is row r's j-th time derivative; derivs[order] is the BDF difference
+    derivs = np.zeros((order + 1, rows, steps + rounds, n))
     if order == 3:
-        derivs[3, :, 0] = loads[:, 0] / np.array([[params.tau] for params in members])
-    for m in range(steps):
-        if m == 0:
-            hist = derivs[:order, :, 0]
-        else:
-            hist = 2.0 * derivs[:order, :, m] - 0.5 * derivs[:order, :, m - 1]
-        plan = plans[min(m, 1)]
-        s, gains = plan[:2]
-        shifts = np.zeros((order + 1, count, n))
-        shifts[order] = -hist[order - 1] / dt
-        for j in range(order - 2, -1, -1):
-            shifts[j] = (shifts[j + 1] + hist[j] / dt) / s
-        if not masses.constant:
-            np.add(masses.matrix(m + 1), acc_extra, out=coefficients[2])
-        rhs = loads[:, m + 1, :, None] - (coefficients @ shifts[..., None]).sum(axis=0)
-        if masses.constant:
-            top = inverted[min(m, 1)] @ rhs
-        else:
-            top = _by_member(np.linalg.solve, singular, m + 1, step_matrix(plan), rhs)
-        derivs[:, :, m + 1] = gains * top[:, :, 0] + shifts
+        first = loads[:, 0] / np.array([[params.tau] for params in members])
+        for j in range(rounds):
+            derivs[3, j * count : (j + 1) * count, j] = first
+    lo, hi = 0, rows  # the rows that step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps + rounds - 1):
+            if rounds > 1:
+                # the rows of the rounds that have started and not yet reached the horizon
+                lo, hi = max(0, m - steps + 1) * count, min(m + 1, rounds) * count
+                plan = plan_of(m, lo, hi)
+            else:
+                plan = plans[min(m, 1)]
+            if m == 0:
+                hist = derivs[:order, lo:hi, 0]
+            else:
+                # a round's startup step reads the zeros before its zero initial data
+                hist = 2.0 * derivs[:order, lo:hi, m] - 0.5 * derivs[:order, lo:hi, m - 1]
+            s, gains = plan[:2]
+            shifts = np.zeros((order + 1, hi - lo, n))
+            shifts[order] = -hist[order - 1] / dt
+            for j in range(order - 2, -1, -1):
+                shifts[j] = (shifts[j + 1] + hist[j] / dt) / s
+            if rounds > 1:
+                # round 0 reads the previous iterate, round j the psi_t of round j - 1
+                if m < steps:
+                    velocity[:count] = masses.rows[:, m + 1]
+                velocity[count:hi] = derivs[1, : hi - count, m]
+                mass = masses.frozen_matrix(velocity[lo:hi], k_rows[lo:hi])
+                np.add(mass, acc_extra[lo:hi], out=coefficients[2, lo:hi])
+                load = load_rows[offsets[lo:hi] + m + 1, :, None]
+            else:
+                if not masses.constant:
+                    np.add(masses.matrix(m + 1), acc_extra, out=coefficients[2])
+                load = loads[:, m + 1, :, None]
+            rhs = load - (coefficients[:, lo:hi] @ shifts[..., None]).sum(axis=0)
+            if masses.constant:
+                top = inverted[min(m, 1)] @ rhs
+            else:
+                top, errors = _by_member(np.linalg.solve, step_matrix(plan, lo, hi), rhs)
+                for index, exc in errors.items():
+                    row = lo + index
+                    singular[row, m + 1 - row // count] = exc
+            derivs[:, lo:hi, m + 1] = gains * top[:, :, 0] + shifts
 
-    bad = ~np.isfinite(derivs).all(axis=(0, 3))  # bad[b, m]: step m of member b
+    # bad[r, t]: a derivative that row r stores for grid time t is not finite
+    bad = np.empty((rows, steps + 1), dtype=bool)
+    for j in range(rounds):
+        block = slice(j * count, (j + 1) * count)
+        bad[block] = ~np.isfinite(derivs[:, block, j : j + steps + 1]).all(axis=(0, 3))
     failing = bad.any(axis=1)
-    stop = int(failing.argmax()) if failing.any() else count
-    trajectories = [
-        Trajectory(
-            times=times,
-            coeff=derivs[0, member],
-            coeff_t=derivs[1, member],
-            coeff_tt=derivs[2, member],
-            coeff_ttt=derivs[3, member] if order == 3 else None,
-            bc=bc,
-            params=params,
+    stop = int(failing.argmax()) if failing.any() else rows
+    trajectories = []
+    for row in range(stop):
+        stored = derivs[:, row, row // count : row // count + steps + 1]
+        trajectories.append(
+            Trajectory(
+                times=times,
+                coeff=stored[0],
+                coeff_t=stored[1],
+                coeff_tt=stored[2],
+                coeff_ttt=stored[3] if order == 3 else None,
+                bc=bc,
+                params=members[row % count],
+            )
         )
-        for member, params in enumerate(members[:stop])
-    ]
-    if stop == count:
+    if stop == rows:
         return trajectories, None
     step = int(bad[stop].argmax())
     failure = SingularStepMatrixError(step, times[step])

@@ -10,8 +10,13 @@ iterate's masses step by step from the previous iterate's psi_t
 coefficients: in closed form for the unclamped coefficient, from the triple
 products of the modes built once per run, and as quadrature Grams for the
 clamped one.  Runs that share basis, grid and drive (the tau-members of a
-sweep) iterate in lockstep: one batched step loop per round, with failures
-and warnings reported as if the members ran one after another.
+sweep) iterate in lockstep, with failures and warnings reported as if the
+members ran one after another.  Round 1 is one batched step loop; after it,
+one step loop serves a window of consecutive rounds, each a step behind the
+one before, since round r + 1 at step m reads only round r's psi_t at
+t_{m+1} (the pipelining of waveform-relaxation iterates).  The rounds of a
+window are then judged in order, and the rows of members that have already
+converged or failed are discarded.
 """
 
 from __future__ import annotations
@@ -153,6 +158,16 @@ def _advance(
     return False
 
 
+#: Rows of one Picard window: W = max(2, _WINDOW_ROWS // B) rounds of B members step together.
+_WINDOW_ROWS = 10
+
+
+def _keep(kept: np.ndarray, member: int, traj: Trajectory) -> None:
+    """Copy a member's new iterate into ``kept``, out of the window that stepped it."""
+    for plane, values in zip(kept, (traj.coeff, traj.coeff_t, traj.coeff_tt, traj.coeff_ttt)):
+        plane[member] = values
+
+
 def _picard_loop(
     members: list[ModelParams],
     basis: SpectralBasis,
@@ -166,59 +181,90 @@ def _picard_loop(
 
     WESTERVELT solves the second-order system, the others the third-order
     one; RELAXED_JMGT clamps alpha, and every other variant is guarded.
-    Round r integrates iterate r of every member still iterating in one
-    ``_integrate`` call, so one stacked step serves them all; a member leaves
-    the batch once it converges.  Each member's masses are formed step by
-    step from its previous iterate's psi_t (``TimeVaryingMass`` with k, and
-    with T built once per run unless clamped).  Round 1 freezes the zero
-    iterate, so no mass of its batch changes (the unclamped ones are I) and
-    its step matrices are inverted once; a later round rebuilds and solves at
-    every step, unless k = 0.  The members of a study share k, so every round
-    is a uniform batch and each member keeps the bits of its lone run.
-    Results, failures and degeneracy warnings are those of running the
-    members one after another in ``members`` order: once a member fails, the
-    members after it stop and the ones before it run on, and the first
-    failing member's failure is raised after the warnings of the members up
-    to it.  A single run is a batch of one.  Every caller is a public entry
-    point, so the warnings point one frame above it.
+    Each member's masses are formed step by step from its previous iterate's
+    psi_t (``TimeVaryingMass`` with k, and with T built once per run unless
+    clamped).  Round 1 freezes the zero iterate, so no mass of its batch
+    changes (the unclamped ones are I): one ``_integrate`` call steps it and
+    inverts its step matrices once, and so does every round with k = 0.
+    From round 2 on, one ``_integrate`` call steps a window of W consecutive
+    rounds of the B members still iterating, W = max(2, _WINDOW_ROWS // B)
+    and never past ``picard_max``: round r + j runs j steps behind round
+    r + j - 1 and forms its masses from that round's psi_t as it is stored.
+    The members of a study share k, so every row does the operations of its
+    lone round and each member keeps the bits of its lone run.
+
+    After a window its rounds are judged in round order and member order, as
+    if run one round at a time.  A member leaves once it converges or fails;
+    its later rows in the window are discarded, so a speculative row never
+    raises, warns or enters a report.  Only the judged iterates are kept:
+    each is copied into one array of every member's latest iterate, out of
+    the window, which is freed before the next one is stepped, and the next
+    window's round 0 reads its psi_t from there.  Results, failures and
+    degeneracy warnings are those of running the members one after another
+    in ``members`` order: once a member fails, the members after it stop and
+    the ones before it run on, and the first failing member's failure is
+    raised after the warnings of the members up to it.  A single run is a
+    batch of one.  Every caller is a public entry point, so the warnings
+    point one frame above it.
     """
     order = 2 if variant is NonlinearVariant.WESTERVELT else 3
     clamped = variant is NonlinearVariant.RELAXED_JMGT
     members, quad, loads = _prepare_data(order, members, basis, f, g, config, bc)
+    count = len(members)
     k = np.array([[params.k] for params in members])
     reports = [PicardReport() for _ in members]
-    last: list[Trajectory | None] = [None] * len(members)  # each member's latest iterate
+    # kept[j, b] is the j-th stored derivative of member b's latest iterate
+    kept = np.empty((order + 1, count, config.n_steps + 1, basis.n))
+    last = [
+        Trajectory(config.times, *kept[:3, b], kept[3, b] if order == 3 else None, bc, params)
+        for b, params in enumerate(members)
+    ]
     # the first failing member and its failure; every member still iterating is before it
-    stop, failure = len(members), None
-    active = list(range(len(members)))  # the members iterating this round, in order
+    stop, failure = count, None
+    active = list(range(count))  # the members iterating into round `iteration`, in order
     products = None if clamped else _triple_products(basis)
     # round 1 freezes the zero iterate; a broadcast view stores no zero grid
-    velocity = np.broadcast_to(0.0, (len(members), config.n_steps + 1, basis.n))
-    for iteration in range(1, config.picard_max + 1):
+    velocity = np.broadcast_to(0.0, (count, config.n_steps + 1, basis.n))
+    iteration = 1
+    while active and iteration <= config.picard_max:
         masses = TimeVaryingMass(basis, quad, velocity, k[active], products)
-        batch = loads if len(active) == len(members) else loads[active]
+        window = 1
+        if not masses.constant:
+            window = min(max(2, _WINDOW_ROWS // len(active)), config.picard_max - iteration + 1)
+        batch = loads if len(active) == count else loads[active]
         iterates, singular = _integrate(
-            order, [members[i] for i in active], basis, masses, batch, config, bc
+            order, [members[i] for i in active], basis, masses, batch, config, bc, window
         )
-        if singular is not None:
-            stop, failure = active[len(iterates)], singular
-        going = []  # the members that iterate on
-        for member, current in zip(active, iterates):
-            try:
-                converged = _advance(
-                    reports[member], last[member], current, iteration, basis, config, not clamped
-                )
-            except SolverFailure as exc:
-                stop, failure = member, exc
+        position = {member: i for i, member in enumerate(active)}  # a member's row in a round
+        for j in range(window):
+            # (row, member) of the members iterating into this round
+            rows = [(j * len(position) + position[member], member) for member in active]
+            missing = [row for row, _ in rows if row >= len(iterates)]
+            if missing and missing[0] != len(iterates):
+                break  # a discarded row failed first: this round is stepped again
+            going = []  # the members that iterate on
+            for row, member in rows:
+                if row == len(iterates):
+                    stop, failure = member, singular
+                    break
+                try:
+                    converged = _advance(
+                        reports[member], last[member] if iteration > 1 else None,
+                        iterates[row], iteration, basis, config, not clamped,
+                    )
+                except SolverFailure as exc:
+                    stop, failure = member, exc
+                    break
+                _keep(kept, member, iterates[row])
+                if not converged:
+                    going.append(member)
+            active = going
+            iteration += 1
+            if not active:
                 break
-            last[member] = current
-            if not converged:
-                going.append(member)
-        if not going:
-            break
-        active = going
-        velocity = np.stack([last[member].coeff_t for member in active])
-    else:
+        del iterates  # frees the window: no kept iterate is a view into it
+        velocity = kept[1] if len(active) == count else kept[1][active]
+    if active:
         stop = active[0]
         failure = PicardDivergenceError(reports[stop].differences, config.picard_max)
     # a guarded run warns of its margins below 0.1, up to the first failing member

@@ -4,6 +4,7 @@ and fixture builders."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from jmgt_lab import (
     constant_field,
     solve_smgt_linear,
 )
+from jmgt_lab.assembly import TimeVaryingMass, _triple_products
+from jmgt_lab.exceptions import PicardDivergenceError, SolverFailure
+from jmgt_lab.integrate import _integrate, _prepare_data
+from jmgt_lab.nonlinear import NonlinearVariant, PicardReport, _advance
 
 
 #: The criterion-05 limit study (the seed-0 benchmark config) with the drive raised to 4.
@@ -170,3 +175,59 @@ def degeneracy_margin(traj, basis, k: float, eval_grid: int | None = None) -> fl
     scale = np.sqrt(np.where(np.arange(n) == 0, 1.0, 2.0) / length)
     modes = scale[:, None] * np.cos(np.outer(np.arange(n) * np.pi / length, points))
     return float((1.0 - 2.0 * k * (traj.coeff_t @ modes)).min())
+
+
+def round_by_round_picard(members, basis, f, g, config, bc, variant):
+    """Lockstep Picard oracle that steps one round per ``_integrate`` call, with no windows.
+
+    Round r steps the members still iterating with ``TimeVaryingMass(basis, quad,
+    velocity, k, products)`` of their iterate r - 1; a member leaves once it converges
+    or fails, the members after a failing one stop with it, and the degeneracy warnings
+    of the members up to the first failing one are issued before its failure is raised.
+    Returns the (trajectory, report) pairs.
+    """
+    order = 2 if variant is NonlinearVariant.WESTERVELT else 3
+    clamped = variant is NonlinearVariant.RELAXED_JMGT
+    members, quad, loads = _prepare_data(order, members, basis, f, g, config, bc)
+    k = np.array([[params.k] for params in members])
+    reports = [PicardReport() for _ in members]
+    last = [None] * len(members)
+    stop, failure = len(members), None
+    active = list(range(len(members)))
+    products = None if clamped else _triple_products(basis)
+    velocity = np.zeros((len(members), config.n_steps + 1, basis.n))
+    for iteration in range(1, config.picard_max + 1):
+        masses = TimeVaryingMass(basis, quad, velocity, k[active], products)
+        batch = [members[i] for i in active]
+        iterates, singular = _integrate(order, batch, basis, masses, loads[active], config, bc)
+        if singular is not None:
+            stop, failure = active[len(iterates)], singular
+        going = []
+        for member, current in zip(active, iterates):
+            try:
+                converged = _advance(
+                    reports[member], last[member], current, iteration, basis, config, not clamped
+                )
+            except SolverFailure as exc:
+                stop, failure = member, exc
+                break
+            last[member] = current
+            if not converged:
+                going.append(member)
+        if not going:
+            break
+        active = going
+        velocity = np.stack([last[member].coeff_t for member in active])
+    else:
+        stop = active[0]
+        failure = PicardDivergenceError(reports[stop].differences, config.picard_max)
+    close = [margin for report in reports[: stop + 1] for margin in report.margins if margin < 0.1]
+    for margin in [] if clamped else close:
+        warnings.warn(
+            f"degeneracy margin {margin:.3g} < 0.1; the model is close to degenerate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if failure is not None:
+        raise failure
+    return list(zip(last, reports))

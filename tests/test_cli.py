@@ -545,7 +545,7 @@ class TestSweepBatches:
 
         def spy(order, members, *args):
             if order == 3:
-                batch_sizes.append(len(members))
+                batch_sizes.append((len(members), args[-1]))
             return original(order, members, *args)
 
         monkeypatch.setattr(nonlinear, "_integrate", spy)
@@ -572,8 +572,10 @@ class TestSweepBatches:
         first_member = ["0.0853", "0.0537", "0.0498"] + ["0.0495"] * 9  # tau = 0.1, iterations 2-13
         second_member = ["0.0702", "0.00972"]  # tau = 0.03, before its iteration-4 abort
         assert margins == reference + first_member + second_member
-        # the members after tau = 0.03 stop with it; tau = 0.1 runs on to converge at 13
-        assert batch_sizes == [5] * 4 + [1] * 9
+        # (members, rounds) of each step loop: round 1, then windows of two rounds; the
+        # members after tau = 0.03 stop with it in the window of rounds 4 and 5, whose
+        # round 5 tau = 0.1 keeps, and tau = 0.1 runs on to converge at 13
+        assert batch_sizes == [(5, 1), (5, 2), (5, 2), (1, 10)]
 
 
 class TestMain:
@@ -671,6 +673,19 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"solver failure: {message.removeprefix('failure,message,')}\n"
+
+    @pytest.mark.parametrize("subcommand", ["solve-westervelt", "limit-study"])
+    def test_an_overflowing_second_order_run_reports_inf(self, tmp_path, capsys, subcommand):
+        # at tau = 0 the energy norm has no tau-weighted term, so the overflowing first
+        # iterate's norm is inf, as in the third-order runs, and not 0 * inf = NaN
+        path = tmp_path / "experiment.cfg"
+        path.write_text(config_with(amplitude="1e160", k="0.0", tau_sweep="0.1, 0.01"))
+        code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "solver failure: the energy norm of fixed-point iterate 1 is not finite (inf): "
+            "the run overflows double precision\n"
+        )
 
     def test_main_rejects_mms_with_one_mode(self, tmp_path, capsys):
         path = tmp_path / "experiment.cfg"

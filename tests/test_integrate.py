@@ -430,22 +430,46 @@ class TestStepOperatorOncePerRun:
         assert (len(masses), len(solves), len(inversions)) == (1, 0, 2)
 
     def count_rounds(self, monkeypatch):
-        """(batch size, masses, solves, inversions) of every Picard round, appended as it runs."""
-        masses = self.count(monkeypatch, TimeVaryingMass, "matrix")
-        solves = self.count(monkeypatch, np.linalg, "solve")
+        """(batch size, rounds, mass rows, solve rows, inversions) of every ``_integrate`` call
+        of a Picard run, appended as it runs; a stacked mass or solve counts one per row."""
+        masses, solves = [], []
+        original_mass = TimeVaryingMass.frozen_matrix
+        original_solve = np.linalg.solve
+
+        def mass(self, velocity, k):
+            masses.append(len(velocity))
+            return original_mass(self, velocity, k)
+
+        def solve(a, b):
+            solves.append(len(a))
+            return original_solve(a, b)
+
+        monkeypatch.setattr(TimeVaryingMass, "frozen_matrix", mass)
+        monkeypatch.setattr(np.linalg, "solve", solve)
         inversions = self.count(monkeypatch, np.linalg, "inv")
-        per_round = []
+        per_call = []
         original = nonlinear._integrate
 
         def integrate(order, members, *args):
-            before = len(masses), len(solves), len(inversions)
+            before = sum(masses), sum(solves), len(inversions)
             result = original(order, members, *args)
-            after = len(masses), len(solves), len(inversions)
-            per_round.append((len(members), *(b - a for a, b in zip(before, after))))
+            after = sum(masses), sum(solves), len(inversions)
+            per_call.append((len(members), args[-1], *(b - a for a, b in zip(before, after))))
             return result
 
         monkeypatch.setattr(nonlinear, "_integrate", integrate)
-        return per_round
+        return per_call
+
+    @staticmethod
+    def windows(iterations, picard_max):
+        """(batch size, rounds) of the windows after round 1 of runs of these iteration counts."""
+        schedule, first = [], 2
+        while first <= max(iterations):
+            size = sum(count >= first for count in iterations)
+            rounds = min(max(2, nonlinear._WINDOW_ROWS // size), picard_max - first + 1)
+            schedule.append((size, rounds))
+            first += rounds
+        return schedule
 
     @pytest.mark.parametrize(
         "taus", [(0.1,), (0.1, 0.01, 0.001), ()], ids=["one", "three", "westervelt"]
@@ -453,7 +477,8 @@ class TestStepOperatorOncePerRun:
     def test_picard_assembles_one_mass_for_the_first_iterate_only(self, monkeypatch, taus):
         # round 1 freezes the zero iterate, so its (stacked) mass is built and its step
         # matrices inverted once; every later round builds a mass and solves at every step
-        per_round = self.count_rounds(monkeypatch)
+        # of each of its rows, in windows of rounds stepped together
+        per_call = self.count_rounds(monkeypatch)
         basis = build_basis(L, self.CONFIG.n_modes)
         if taus:
             members = [ModelParams(c2=1.0, delta=1.0, tau=tau, k=0.4, beta=0.5) for tau in taus]
@@ -469,10 +494,10 @@ class TestStepOperatorOncePerRun:
             iterations = [report.iterations]
         steps = self.CONFIG.n_steps
         assert min(iterations) >= 3
-        rounds = range(1, max(iterations) + 1)
-        batch_sizes = [sum(count >= r for count in iterations) for r in rounds]
-        assert per_round == [(batch_sizes[0], 1, 0, 2)] + [
-            (size, steps, steps, 0) for size in batch_sizes[1:]
+        windows = self.windows(iterations, self.CONFIG.picard_max)
+        assert per_call == [(len(iterations), 1, len(iterations), 0, 2)] + [
+            (size, rounds, size * rounds * steps, size * rounds * steps, 0)
+            for size, rounds in windows
         ]
 
     def test_a_batch_with_one_changing_member_solves_every_step(self, monkeypatch):
@@ -500,15 +525,15 @@ class TestStepOperatorOncePerRun:
 
     def test_zero_k_picard_never_solves(self, monkeypatch):
         # with k = 0 the coefficient is exactly 1 whatever the iterate, so every round
-        # builds one mass and inverts its two step matrices
-        per_round = self.count_rounds(monkeypatch)
+        # builds one mass and inverts its two step matrices, one round at a time
+        per_call = self.count_rounds(monkeypatch)
         basis = build_basis(L, self.CONFIG.n_modes)
         params = replace(self.PARAMS, k=0.0)
         _, report = solve_westervelt_nonlinear(
             params, basis, None, self.DRIVE, self.CONFIG, BoundaryKind.MIXED
         )
         assert report.iterations == 2
-        assert per_round == [(1, 1, 0, 2)] * 2
+        assert per_call == [(1, 1, 1, 0, 2)] * 2
 
 
 class TestMixedBoundary:

@@ -35,7 +35,12 @@ from jmgt_lab import (
     trajectory_distance,
 )
 from jmgt_lab.config import parse_config_text
-from helpers import AMPLITUDE_FOUR_STUDY, degeneracy_margin, zero_trajectory
+from helpers import (
+    AMPLITUDE_FOUR_STUDY,
+    degeneracy_margin,
+    round_by_round_picard,
+    zero_trajectory,
+)
 
 L = math.pi
 
@@ -674,10 +679,10 @@ class TestLockstep:
             assert (failure.step, failure.__cause__) == (3, None)
 
     def test_singular_step_in_a_round_stops_at_its_member(self, monkeypatch):
-        # round 2 reports a singular step for member 2 (the third of five): the members
-        # before it iterate on to convergence, the ones after it stop, and the warnings
-        # are those of members 0 and 1 run alone (member 2's one margin, 0.277, is above
-        # the 0.1 warning level)
+        # the window of rounds 2 and 3 reports a singular step for member 2 (the third of
+        # five) in round 2: the members before it iterate on to convergence, the ones after
+        # it stop, and the warnings are those of members 0 and 1 run alone (member 2's one
+        # margin, 0.277, is above the 0.1 warning level)
         study = AMPLITUDE_FOUR_STUDY.replace("amplitude = 4.0", "amplitude = 3.85")
         config = parse_config_text(study)
         members = [replace(config.params, tau=tau) for tau in config.tau_sweep]
@@ -688,9 +693,10 @@ class TestLockstep:
         original = jmgt_lab.nonlinear._integrate
 
         def integrate(order, batch, *rest):
-            batch_sizes.append(len(batch))
+            batch_sizes.append((len(batch), rest[-1]))
             trajectories, failure = original(order, batch, *rest)
             if len(batch_sizes) == 2:
+                # rows 0 and 1 are round 2 of members 0 and 1; row 2 fails
                 return trajectories[:2], SingularStepMatrixError(7, 0.035)
             return trajectories, failure
 
@@ -698,6 +704,147 @@ class TestLockstep:
         failure, warned = record_warnings(lambda: jmgt_lab.nonlinear._picard_loop(members, *args))
         assert isinstance(failure, SingularStepMatrixError)
         assert (failure.step, failure.time) == (7, 0.035)
-        assert batch_sizes == [5, 5] + [2] * 11 + [1] * 3
+        # (members, rounds) of each step loop: round 1, the window of rounds 2 and 3, then
+        # members 0 and 1 from round 3 on (they converge at 13 and 16)
+        assert batch_sizes == [(5, 1), (5, 2)] + [(2, 5)] * 3
         assert (len(lone[0]), len(lone[1])) == (10, 14)
         assert warned == lone[0] + lone[1]
+
+
+class TestWindowedRounds:
+    """Windows of Picard rounds stepped together against one step loop per round.
+
+    The oracle is ``helpers.round_by_round_picard``; every member's trajectory,
+    report, failure and warnings must be the same, bit for bit.
+    """
+
+    TAUS = (0.3, 0.1, 0.03, 0.01, 0.001)
+    VARIANTS = pytest.mark.parametrize("variant", list(NonlinearVariant), ids=lambda v: v.value)
+    BCS = pytest.mark.parametrize("bc", list(BoundaryKind), ids=lambda bc: bc.value)
+
+    @staticmethod
+    def members(taus, variant, bc, k=0.4):
+        # the Westervelt members differ only in delta, so they take different iteration counts
+        beta = 0.5 if bc is BoundaryKind.MIXED else 0.0
+        deltas = [0.8] * len(taus)
+        if variant is NonlinearVariant.WESTERVELT:
+            deltas = [0.8 - 0.1 * index for index in range(len(taus))]
+        return [
+            ModelParams(c2=1.0, delta=delta, tau=tau, k=k, beta=beta)
+            for tau, delta in zip(taus, deltas)
+        ]
+
+    @staticmethod
+    def windows(monkeypatch):
+        """(members, rounds) of every step loop of the windowed run, appended as it runs."""
+        calls = []
+        original = jmgt_lab.nonlinear._integrate
+
+        def integrate(order, batch, *rest):
+            calls.append((len(batch), rest[-1]))
+            return original(order, batch, *rest)
+
+        monkeypatch.setattr(jmgt_lab.nonlinear, "_integrate", integrate)
+        return calls
+
+    @staticmethod
+    def assert_same(windowed, oracle):
+        (outcome, warned), (expected, expected_warned) = windowed, oracle
+        assert warned == expected_warned
+        if isinstance(expected, SolverFailure):
+            assert type(outcome) is type(expected)
+            assert str(outcome) == str(expected)
+            assert vars(outcome) == vars(expected)
+            return
+        for (traj, report), (lone, lone_report) in zip(outcome, expected, strict=True):
+            for name in ("times", "coeff", "coeff_t", "coeff_tt", "coeff_ttt"):
+                got, want = getattr(traj, name), getattr(lone, name)
+                assert (got is None) == (want is None), name
+                assert want is None or np.array_equal(got, want), name
+            assert traj.params == lone.params and traj.bc is lone.bc
+            assert vars(report) == vars(lone_report)
+
+    def run_both(self, members, args):
+        batch = jmgt_lab.nonlinear._picard_loop
+        windowed = record_warnings(lambda: batch(members, *args))
+        oracle = record_warnings(lambda: round_by_round_picard(members, *args))
+        self.assert_same(windowed, oracle)
+        return windowed[0]
+
+    @VARIANTS
+    @BCS
+    def test_a_member_converging_at_a_window_first_round(self, monkeypatch, variant, bc):
+        calls = self.windows(monkeypatch)
+        basis = build_basis(L, 6)
+        sig = WindowedSignal(1.5, 2.0, 5, 1.0)
+        config = SolverConfig(dt=1 / 50, t_final=1.0, n_modes=6, picard_tol=1e-10)
+        members = self.members(self.TAUS, variant, bc)
+        runs = self.run_both(members, (basis, None, sig, config, bc, variant))
+        # the first round of each step loop; rounds 2 on come in windows
+        firsts = list(np.cumsum([1] + [rounds for _, rounds in calls[:-1]]))
+        assert [rounds for _, rounds in calls[1:]] == [
+            min(max(2, jmgt_lab.nonlinear._WINDOW_ROWS // size), config.picard_max - first + 1)
+            for (size, _), first in zip(calls[1:], firsts[1:])
+        ]
+        iterations = [report.iterations for _, report in runs]
+        assert len(set(iterations)) > 1
+        assert set(iterations) & set(firsts[1:])
+
+    @VARIANTS
+    @BCS
+    def test_amplitude_four_study(self, variant, bc):
+        # FULL_JMGT under neumann: tau = 0.03 loses positivity at iteration 4, the first
+        # round of a window of two, so the window's round 5 rows of the members after it
+        # are discarded and tau = 0.1's is kept
+        study = AMPLITUDE_FOUR_STUDY
+        if bc is BoundaryKind.MIXED:
+            study = study.replace("bc = neumann", "bc = mixed").replace("beta = 0.0", "beta = 0.5")
+        config = parse_config_text(study)
+        members = [replace(config.params, tau=tau) for tau in config.tau_sweep]
+        basis = build_basis(config.length, config.solver.n_modes)
+        args = (basis, None, config.signal, config.solver, config.bc, variant)
+        outcome = self.run_both(members, args)
+        if variant is NonlinearVariant.FULL_JMGT and bc is BoundaryKind.PURE_NEUMANN:
+            assert isinstance(outcome, NonDegeneracyViolated)
+            assert outcome.iteration == 4
+
+    @VARIANTS
+    @BCS
+    def test_iteration_cap(self, monkeypatch, variant, bc):
+        # the cap of 9 stops the window that would run past it: after round 7 three
+        # members are left, whose window of three rounds is cut to rounds 8 and 9
+        calls = self.windows(monkeypatch)
+        basis = build_basis(L, 6)
+        sig = WindowedSignal(1.5, 2.0, 5, 1.0)
+        config = SolverConfig(dt=1 / 50, t_final=1.0, n_modes=6, picard_tol=1e-10, picard_max=9)
+        members = self.members((0.3, 0.1, 0.01, 0.001), variant, bc)
+        outcome = self.run_both(members, (basis, None, sig, config, bc, variant))
+        assert isinstance(outcome, PicardDivergenceError)
+        assert len(outcome.differences) == config.picard_max
+        assert sum(rounds for _, rounds in calls) == config.picard_max
+        if variant is not NonlinearVariant.WESTERVELT:
+            assert calls[-1] == (3, 2)
+
+    def test_a_discarded_row_that_fails_is_stepped_again(self, monkeypatch):
+        # tau = 0.3 converges at 7, the first round of the window of rounds 7 to 11; a
+        # singular step in its discarded round-8 row cuts off tau = 0.1's round-8 row, so
+        # round 8 is stepped again in a window of its own, and nothing is reported
+        calls = []
+        original = jmgt_lab.nonlinear._integrate
+
+        def integrate(order, batch, *rest):
+            calls.append((len(batch), rest[-1]))
+            trajectories, failure = original(order, batch, *rest)
+            if len(calls) == 3:
+                return trajectories[:2], SingularStepMatrixError(7, 0.14)
+            return trajectories, failure
+
+        monkeypatch.setattr(jmgt_lab.nonlinear, "_integrate", integrate)
+        basis = build_basis(L, 6)
+        sig = WindowedSignal(1.5, 2.0, 5, 1.0)
+        config = SolverConfig(dt=1 / 50, t_final=1.0, n_modes=6, picard_tol=1e-10)
+        bc, variant = BoundaryKind.PURE_NEUMANN, NonlinearVariant.FULL_JMGT
+        members = self.members((0.3, 0.1), variant, bc)
+        runs = self.run_both(members, (basis, None, sig, config, bc, variant))
+        assert [report.iterations for _, report in runs] == [7, 9]
+        assert calls[:4] == [(2, 1), (2, 5), (2, 5), (1, 10)]

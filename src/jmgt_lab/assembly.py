@@ -71,8 +71,10 @@ def constant_field(value: float = 1.0) -> CoefficientField:
 def clamp_h(s, k: float):
     """Bounded coefficient h(s) = 1 - clamp(2ks, -1, 1), with range [0, 2].
 
-    Coincides with 1 - 2ks whenever |2ks| <= 1, so the relaxation is inactive
-    on non-degenerate states.
+    Coincides with 1 - 2ks whenever |2ks| <= 1.  It is active wherever
+    2ks > 1, where 1 - 2ks is degenerate, and also wherever 2ks < -1, where it
+    caps the coefficient at 2: a run with a positive margin can still differ
+    from the unclamped one.
     """
     return 1.0 - np.clip(2.0 * k * np.asarray(s, dtype=float), -1.0, 1.0)
 

@@ -233,7 +233,7 @@ def _integrate(
     config: SolverConfig,
     bc: BoundaryKind,
     rounds: int = 1,
-) -> tuple[list[Trajectory], SingularStepMatrixError | None]:
+) -> list[tuple[Trajectory, SingularStepMatrixError | None]]:
     """BDF2 core of both solvers; ``order`` is the system's order in time (3 or 2).
 
     The members of a batch share basis, quadrature (``masses.quad``), time
@@ -243,22 +243,23 @@ def _integrate(
     load ``loads[b, m]`` at grid time m.  One rule steps the whole batch: if
     ``masses.constant``, the mass is built once and the step matrix is
     inverted at the startup and at the BDF2 c0, so each step is
-    ``inverse @ rhs``; otherwise each step rebuilds the mass and the step
-    matrix and makes one stacked solve.  Every batch an entry point builds is
-    uniform, so a member's numbers are bit for bit those of a lone run; in a
-    mixed batch, which only tests build, a constant member solves with the
-    others and matches its lone run to roundoff.
+    ``inverse @ rhs``; otherwise each step forms the masses (``masses.matrix``
+    for a linear batch, ``masses.frozen_matrix`` for a Picard one) and the
+    step matrices, and makes one stacked solve.  Every batch an entry point
+    builds is uniform, so a member's numbers are bit for bit those of a lone
+    run; in a mixed batch, which only tests build, a constant member solves
+    with the others and matches its lone run to roundoff.
 
-    ``rounds`` > 1 steps a window of that many consecutive Picard rounds of
-    the members (``masses`` with k, and not constant) as one batch of
-    ``rounds * B`` rows, round-major.  Round 0 is the batch above.  Round j
-    starts j steps late, and its mass at its step m is formed by
-    ``masses.frozen_matrix`` from the psi_t that round j - 1 stored for
-    t_{m+1} one loop step earlier.  Row (j, b) stores grid time t in column
-    t + j of the window, so each loop step reads and writes one column of the
-    rows that are stepping.  The startup and BDF2 gains are per row; they
-    differ only at a round's startup step.  So every row does the operations
-    of its lone round and keeps its bits.
+    One loop steps ``rounds`` consecutive Picard rounds of the members as
+    ``rounds * B`` rows, round-major; a linear or constant batch is one
+    round.  Round j starts j steps late, and its mass at its step m is formed
+    from the psi_t that round j - 1 stored for t_{m+1} one loop step earlier
+    (round 0 reads ``masses.rows``).  Row (j, b) stores grid time t in column
+    t + j of the derivative and load arrays, so each loop step reads and
+    writes one column of the rows that are stepping.  The startup and BDF2
+    gains are per row, and a plan is precomputed for each loop step where
+    some rows take their startup.  So every row does the operations of its
+    lone round and keeps its bits.
 
     The stored derivatives are xi and its first ``order - 1`` time
     derivatives, and the highest of them is the unknown of each step.  With
@@ -278,10 +279,9 @@ def _integrate(
     included, with a stored derivative that is not finite.  So numpy's
     overflow and invalid-value warnings are off in the loop.  A singular
     stacked solve or inversion falls back to one row at a time, and a
-    singular row's step or inverse is NaN.  Returns the trajectories and
-    None, or the trajectories of the rows before the first failing one and
-    its SingularStepMatrixError, caused by that step's LinAlgError if any:
-    the failure of running the rows one after another.
+    singular row's step or inverse is NaN.  Returns one (trajectory, failure)
+    pair per row, in row order; the failure is None or the row's own
+    SingularStepMatrixError, caused by that step's LinAlgError if any.
     """
     n = basis.n
     steps = config.n_steps
@@ -305,90 +305,77 @@ def _integrate(
         if order == 3:
             coefficients[3, row] = params.tau * np.eye(n)
 
-    # per BDF coefficient c0 (startup, then BDF2): s, the gains of the coefficients
-    # (derivative j = gains[j] * top + shifts[j]) and the step-matrix terms without mass
+    # per row: the gains of the coefficients (derivative j = gains[j] * top + shifts[j]),
+    # powers of s = c0/dt with s itself at gains[order], and the step-matrix terms without
+    # mass, where c0 is 1 at the row's startup and 1.5 after it; plans[m] serves loop step
+    # m < rounds, where round m takes its startup, and plans[rounds] every later step
     plans = []
-    for c0 in (1.0, 1.5):
-        s = c0 / dt
-        gains = s ** np.arange(1.0 - order, 2.0)
-        fixed = sum(gain * coefficient for gain, coefficient in zip(gains, coefficients[:2]))
-        inertia_term = gains[3] * coefficients[3] if order == 3 else None
-        plans.append((s, gains[:, None, None], fixed, inertia_term))
-
-    def plan_of(m, lo, hi):
-        """The plan of rows lo:hi at loop step m, where the rows of round m take their startup."""
-        if m == 0 or m >= rounds:
-            s, gains, fixed, inertia_term = plans[min(m, 1)]
-            return s, gains, fixed[lo:hi], None if inertia_term is None else inertia_term[lo:hi]
-        startup = np.arange(lo, hi) >= m * count
-        (s0, gains0, fixed0, inertia0), (s1, gains1, fixed1, inertia1) = plans
-        matrix_rows = startup[:, None, None]
-        return (
-            np.where(startup, s0, s1)[:, None],
-            np.where(startup[:, None], gains0, gains1),
-            np.where(matrix_rows, fixed0[lo:hi], fixed1[lo:hi]),
-            None if inertia0 is None else np.where(matrix_rows, inertia0[lo:hi], inertia1[lo:hi]),
-        )
+    for m in range(rounds + 1):
+        s = np.where(np.arange(rows) < m * count, 1.5, 1.0)[:, None] / dt
+        gains = s ** np.arange(1.0 - order, 2.0)[:, None, None]
+        weights = gains[..., None]
+        fixed = sum(weight * coefficient for weight, coefficient in zip(weights, coefficients[:2]))
+        inertia_term = weights[3] * coefficients[3] if order == 3 else None
+        plans.append((gains, fixed, inertia_term))
 
     def step_matrix(plan, lo, hi):
-        _, gains, fixed, inertia_term = plan
-        matrix = fixed + gains[2, ..., None] * coefficients[2, lo:hi]
-        return matrix if inertia_term is None else matrix + inertia_term
+        gains, fixed, inertia_term = plan
+        matrix = fixed[lo:hi] + gains[2, lo:hi, :, None] * coefficients[2, lo:hi]
+        return matrix if inertia_term is None else matrix + inertia_term[lo:hi]
 
     singular = {}  # (row, step) -> the LinAlgError of that row's solve or inverse
     if masses.constant:
         np.add(masses.matrix(1), acc_extra, out=coefficients[2])
-        # the inverted startup (step 1) and BDF2 (steps 2 on) step matrices
+        # the inverted startup (step 1) and BDF2 (steps 2 on) step matrices of the one round
         inverted = []
         for step, plan in zip((1, 2), plans):
             inverse, errors = _by_member(np.linalg.inv, step_matrix(plan, 0, rows))
             singular.update(((row, step), exc) for row, exc in errors.items())
             inverted.append(inverse)
-    if rounds > 1:
+    elif masses.k is not None:
         # the psi_t rows of one loop step's masses, round-major, and their k
         velocity = np.empty((rows, n))
         k_rows = np.tile(masses.k, (rounds, 1))
-        # row (j, b) at loop step m reads the load of grid time m + 1 - j
-        load_rows = loads.reshape(count * (steps + 1), n)
-        offsets = ((steps + 1) * np.arange(count) - np.arange(rounds)[:, None]).ravel()
 
-    # derivs[j, r] is row r's j-th time derivative; derivs[order] is the BDF difference
+    # derivs[j, r] is row r's j-th time derivative (derivs[order] the BDF difference)
+    # and skewed[r] its load, both by column
     derivs = np.zeros((order + 1, rows, steps + rounds, n))
+    skewed = np.zeros((rows, steps + rounds, n))
     if order == 3:
         first = loads[:, 0] / np.array([[params.tau] for params in members])
-        for j in range(rounds):
-            derivs[3, j * count : (j + 1) * count, j] = first
-    lo, hi = 0, rows  # the rows that step
+    for j in range(rounds):
+        block = slice(j * count, (j + 1) * count)
+        skewed[block, j : j + steps + 1] = loads
+        if order == 3:
+            derivs[3, block, j] = first
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(steps + rounds - 1):
-            if rounds > 1:
-                # the rows of the rounds that have started and not yet reached the horizon
-                lo, hi = max(0, m - steps + 1) * count, min(m + 1, rounds) * count
-                plan = plan_of(m, lo, hi)
-            else:
-                plan = plans[min(m, 1)]
+            # the rows of the rounds that have started and not yet reached the horizon
+            lo, hi = max(0, m - steps + 1) * count, min(m + 1, rounds) * count
+            plan = plans[min(m, rounds)]
+            gains = plan[0][:, lo:hi]
+            s = gains[order]
             if m == 0:
                 hist = derivs[:order, lo:hi, 0]
             else:
                 # a round's startup step reads the zeros before its zero initial data
                 hist = 2.0 * derivs[:order, lo:hi, m] - 0.5 * derivs[:order, lo:hi, m - 1]
-            s, gains = plan[:2]
+            scaled = hist / dt
             shifts = np.zeros((order + 1, hi - lo, n))
-            shifts[order] = -hist[order - 1] / dt
+            shifts[order] = -scaled[order - 1]
             for j in range(order - 2, -1, -1):
-                shifts[j] = (shifts[j + 1] + hist[j] / dt) / s
-            if rounds > 1:
-                # round 0 reads the previous iterate, round j the psi_t of round j - 1
-                if m < steps:
-                    velocity[:count] = masses.rows[:, m + 1]
-                velocity[count:hi] = derivs[1, : hi - count, m]
-                mass = masses.frozen_matrix(velocity[lo:hi], k_rows[lo:hi])
+                shifts[j] = (shifts[j + 1] + scaled[j]) / s
+            if not masses.constant:
+                if masses.k is None:
+                    mass = masses.matrix(m + 1)
+                else:
+                    # round 0 reads the previous iterate, round j the psi_t of round j - 1
+                    if m < steps:
+                        velocity[:count] = masses.rows[:, m + 1]
+                    velocity[count:hi] = derivs[1, : hi - count, m]
+                    mass = masses.frozen_matrix(velocity[lo:hi], k_rows[lo:hi])
                 np.add(mass, acc_extra[lo:hi], out=coefficients[2, lo:hi])
-                load = load_rows[offsets[lo:hi] + m + 1, :, None]
-            else:
-                if not masses.constant:
-                    np.add(masses.matrix(m + 1), acc_extra, out=coefficients[2])
-                load = loads[:, m + 1, :, None]
+            load = skewed[lo:hi, m + 1, :, None]
             rhs = load - (coefficients[:, lo:hi] @ shifts[..., None]).sum(axis=0)
             if masses.constant:
                 top = inverted[min(m, 1)] @ rhs
@@ -399,33 +386,20 @@ def _integrate(
                     singular[row, m + 1 - row // count] = exc
             derivs[:, lo:hi, m + 1] = gains * top[:, :, 0] + shifts
 
-    # bad[r, t]: a derivative that row r stores for grid time t is not finite
-    bad = np.empty((rows, steps + 1), dtype=bool)
-    for j in range(rounds):
-        block = slice(j * count, (j + 1) * count)
-        bad[block] = ~np.isfinite(derivs[:, block, j : j + steps + 1]).all(axis=(0, 3))
-    failing = bad.any(axis=1)
-    stop = int(failing.argmax()) if failing.any() else rows
-    trajectories = []
-    for row in range(stop):
-        stored = derivs[:, row, row // count : row // count + steps + 1]
-        trajectories.append(
-            Trajectory(
-                times=times,
-                coeff=stored[0],
-                coeff_t=stored[1],
-                coeff_tt=stored[2],
-                coeff_ttt=stored[3] if order == 3 else None,
-                bc=bc,
-                params=members[row % count],
-            )
-        )
-    if stop == rows:
-        return trajectories, None
-    step = int(bad[stop].argmax())
-    failure = SingularStepMatrixError(step, times[step])
-    failure.__cause__ = singular.get((stop, step))
-    return trajectories, failure
+    results = []
+    for row, params in enumerate(members * rounds):
+        j = row // count
+        stored = derivs[:, row, j : j + steps + 1]
+        traj = Trajectory(times, *stored[:3], stored[3] if order == 3 else None, bc, params)
+        # bad[t]: a derivative that the row stores for grid time t is not finite
+        bad = ~np.isfinite(stored).all(axis=(0, 2))
+        failure = None
+        if bad.any():
+            step = int(bad.argmax())
+            failure = SingularStepMatrixError(step, times[step])
+            failure.__cause__ = singular.get((row, step))
+        results.append((traj, failure))
+    return results
 
 
 def _solve_linear(
@@ -440,16 +414,17 @@ def _solve_linear(
 ) -> list[Trajectory]:
     """Linear runs of a batch of members under one coefficient field, stepped together.
 
-    Raises what the first failing member raises when the members are solved
-    one after another.
+    Raises the first failure in member order: what the members raise when
+    they are solved one after another.
     """
     members, quad, loads = _prepare_data(order, members, basis, f, g, config, bc)
     # one shared coefficient: a member axis of 1 broadcasts over the batch
     masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, config.times)[None])
-    trajectories, failure = _integrate(order, members, basis, masses, loads, config, bc)
-    if failure is not None:
-        raise failure
-    return trajectories
+    results = _integrate(order, members, basis, masses, loads, config, bc)
+    for _, failure in results:
+        if failure is not None:
+            raise failure
+    return [traj for traj, _ in results]
 
 
 def solve_smgt_linear(

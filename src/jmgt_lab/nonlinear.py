@@ -14,9 +14,10 @@ sweep) iterate in lockstep, with failures and warnings reported as if the
 members ran one after another.  Round 1 is one batched step loop; after it,
 one step loop serves a window of consecutive rounds, each a step behind the
 one before, since round r + 1 at step m reads only round r's psi_t at
-t_{m+1} (the pipelining of waveform-relaxation iterates).  The rounds of a
-window are then judged in order, and the rows of members that have already
-converged or failed are discarded.
+t_{m+1} (the pipelining of waveform-relaxation iterates).  Every row of a
+window reports its own failure.  The rounds are judged in order; the rows of
+members that have already converged or failed are discarded with their
+failures, and no round is stepped twice.
 """
 
 from __future__ import annotations
@@ -193,13 +194,14 @@ def _picard_loop(
     The members of a study share k, so every row does the operations of its
     lone round and each member keeps the bits of its lone run.
 
-    After a window its rounds are judged in round order and member order, as
-    if run one round at a time.  A member leaves once it converges or fails;
-    its later rows in the window are discarded, so a speculative row never
-    raises, warns or enters a report.  Only the judged iterates are kept:
-    each is copied into one array of every member's latest iterate, out of
-    the window, which is freed before the next one is stepped, and the next
-    window's round 0 reads its psi_t from there.  Results, failures and
+    After a window each (round, member) row is judged with its own failure,
+    in round order and member order, as if run one round at a time.  A
+    member leaves once it converges or fails; its later rows in the window
+    are discarded, failures included, so a speculative row never raises,
+    warns, enters a report or has its round stepped again.  Only the judged
+    iterates are kept: each is copied into one array of every member's
+    latest iterate, out of the window, which is freed before the next one is
+    stepped, and the next window's round 0 reads its psi_t from there.  Results, failures and
     degeneracy warnings are those of running the members one after another
     in ``members`` order: once a member fails, the members after it stop and
     the ones before it run on, and the first failing member's failure is
@@ -232,37 +234,33 @@ def _picard_loop(
         if not masses.constant:
             window = min(max(2, _WINDOW_ROWS // len(active)), config.picard_max - iteration + 1)
         batch = loads if len(active) == count else loads[active]
-        iterates, singular = _integrate(
+        results = _integrate(
             order, [members[i] for i in active], basis, masses, batch, config, bc, window
         )
-        position = {member: i for i, member in enumerate(active)}  # a member's row in a round
+        row_of = {member: i for i, member in enumerate(active)}  # a member's row in round 0
         for j in range(window):
-            # (row, member) of the members iterating into this round
-            rows = [(j * len(position) + position[member], member) for member in active]
-            missing = [row for row, _ in rows if row >= len(iterates)]
-            if missing and missing[0] != len(iterates):
-                break  # a discarded row failed first: this round is stepped again
             going = []  # the members that iterate on
-            for row, member in rows:
-                if row == len(iterates):
-                    stop, failure = member, singular
+            for member in active:
+                iterate, error = results[j * len(row_of) + row_of[member]]
+                if error is not None:
+                    stop, failure = member, error
                     break
                 try:
                     converged = _advance(
                         reports[member], last[member] if iteration > 1 else None,
-                        iterates[row], iteration, basis, config, not clamped,
+                        iterate, iteration, basis, config, not clamped,
                     )
                 except SolverFailure as exc:
                     stop, failure = member, exc
                     break
-                _keep(kept, member, iterates[row])
+                _keep(kept, member, iterate)
                 if not converged:
                     going.append(member)
             active = going
             iteration += 1
             if not active:
                 break
-        del iterates  # frees the window: no kept iterate is a view into it
+        del results, iterate  # frees the window: no kept iterate and no name is a view into it
         velocity = kept[1] if len(active) == count else kept[1][active]
     if active:
         stop = active[0]

@@ -199,11 +199,12 @@ def round_by_round_picard(members, basis, f, g, config, bc, variant):
     for iteration in range(1, config.picard_max + 1):
         masses = TimeVaryingMass(basis, quad, velocity, k[active], products)
         batch = [members[i] for i in active]
-        iterates, singular = _integrate(order, batch, basis, masses, loads[active], config, bc)
-        if singular is not None:
-            stop, failure = active[len(iterates)], singular
+        results = _integrate(order, batch, basis, masses, loads[active], config, bc)
         going = []
-        for member, current in zip(active, iterates):
+        for member, (current, singular) in zip(active, results):
+            if singular is not None:
+                stop, failure = member, singular
+                break
             try:
                 converged = _advance(
                     reports[member], last[member], current, iteration, basis, config, not clamped

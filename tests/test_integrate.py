@@ -513,14 +513,14 @@ class TestStepOperatorOncePerRun:
         assert not masses.constant
         solves = self.count(monkeypatch, np.linalg, "solve")
         inversions = self.count(monkeypatch, np.linalg, "inv")
-        trajectories, failure = _integrate(3, members, basis, masses, loads, self.CONFIG, bc)
-        assert failure is None
+        results = _integrate(3, members, basis, masses, loads, self.CONFIG, bc)
+        assert [failure for _, failure in results] == [None, None]
         assert (len(solves), len(inversions)) == (self.CONFIG.n_steps, 0)
         lone = solve_smgt_linear(
             self.PARAMS, basis, constant_field(1.0), None, self.DRIVE, self.CONFIG, bc
         )
         for name in ("coeff", "coeff_t", "coeff_tt", "coeff_ttt"):
-            batch, alone = getattr(trajectories[0], name), getattr(lone, name)
+            batch, alone = getattr(results[0][0], name), getattr(lone, name)
             assert np.abs(batch - alone).max() <= 1e-12 * np.abs(alone).max(), name
 
     def test_zero_k_picard_never_solves(self, monkeypatch):
@@ -695,11 +695,11 @@ class TestRobustness:
         alpha[1] = 0.0
         masses = TimeVaryingMass(basis, quad, alpha)
         assert masses.constant
-        trajectories, failure = _integrate(2, members, basis, masses, loads, config, bc)
+        (traj, healthy), (_, failure) = _integrate(2, members, basis, masses, loads, config, bc)
+        assert healthy is None
         assert isinstance(failure, SingularStepMatrixError)
         assert (failure.step, failure.time) == (1, config.dt)
         assert type(failure.__cause__) is np.linalg.LinAlgError
-        [traj] = trajectories
         lone = solve_westervelt_linearized(
             members[0], basis, constant_field(1.0), source, None, config
         )

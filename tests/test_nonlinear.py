@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -222,6 +224,28 @@ class TestPicardLoop:
         )
         assert full_report.degeneracy_margin > 0.0  # clamp never engaged
         assert trajectory_distance(full, relaxed, basis) <= 10.0 * config.picard_tol
+
+    @pytest.mark.parametrize("amplitude, capped", [(2.0, True), (0.5, False)])
+    def test_the_clamp_also_caps_the_coefficient_at_two(self, amplitude, capped):
+        # the criterion-05 study's tau = 0.01 run: at amplitude 2 the FULL run keeps a
+        # positive margin (0.585), but its coefficient 1 - 2k psi_t reaches 2.118, so the
+        # clamp is active where 2k psi_t < -1 and RELAXED differs by 1.6e-3 of the norm;
+        # at amplitude 0.5, |2k psi_t| < 1 everywhere and the two agree to roundoff
+        study = AMPLITUDE_FOUR_STUDY.replace("amplitude = 4.0", f"amplitude = {amplitude}")
+        config = parse_config_text(study)
+        params = replace(config.params, tau=0.01)
+        basis = build_basis(config.length, config.solver.n_modes)
+        args = (params, basis, None, config.signal, config.solver, config.bc)
+        full, full_report = solve_jmgt(*args)
+        relaxed, _ = solve_jmgt(*args, variant=NonlinearVariant.RELAXED_JMGT)
+        assert degeneracy_margin(full, basis, params.k) > 0.0  # 2k psi_t < 1
+        # the margin of 1 + 2k psi_t: negative where the coefficient exceeds 2
+        assert (degeneracy_margin(full, basis, -params.k) < 0.0) is capped
+        relative = trajectory_distance(relaxed, full, basis) / full_report.iterate_norms[-1]
+        if capped:
+            assert relative > 1e-4
+        else:
+            assert relative <= 1e-12
 
     def test_westervelt_small_data_contracts(self):
         basis, params, sig, config = small_setup()
@@ -586,10 +610,12 @@ class TestLockstep:
         assert vars(failure) == vars(expected)
         assert warned == expected_warned
 
-    def test_stacked_singular_step_is_attributed_to_its_own_member(self):
+    def test_stacked_singular_step_is_attributed_to_its_own_member(self, monkeypatch):
         # with alpha = 0 the second-order step matrix has a zero row (mode 0 carries no
         # stiffness); member 1 hits it at step 6, member 2 hits a NaN alpha at step 3, and
-        # member 0's alpha halves at step 5, so every member's mass changes
+        # member 0's alpha halves at step 5, so every member's mass changes; each row
+        # reports its own failure, and _solve_linear raises member 1's (row order beats
+        # step order)
         basis = build_basis(L, 4)
         config = SolverConfig(dt=0.1, t_final=1.0, n_modes=4)
         members = [ModelParams(c2=1.0, delta=delta, tau=0.0) for delta in (1.0, 0.8, 0.6)]
@@ -604,7 +630,7 @@ class TestLockstep:
         alpha[0, 5:] = 0.5
         alpha[1, 6:] = 0.0
         alpha[2, 3:] = np.nan
-        trajectories, failure = jmgt_lab.integrate._integrate(
+        results = jmgt_lab.integrate._integrate(
             2, members, basis, TimeVaryingMass(basis, quad, alpha), loads, config,
             BoundaryKind.PURE_NEUMANN,
         )
@@ -622,19 +648,29 @@ class TestLockstep:
                 )
             alone.append(info.value)
         assert (alone[0].step, alone[1].step) == (6, 3)
-        assert isinstance(failure, SingularStepMatrixError)
-        assert (failure.step, failure.time) == (alone[0].step, alone[0].time)
-        assert type(failure.__cause__) is type(alone[0].__cause__) is np.linalg.LinAlgError
-        [traj] = trajectories
+        assert type(alone[0].__cause__) is np.linalg.LinAlgError and alone[1].__cause__ is None
+        (traj, healthy), *failing = results
+        assert healthy is None
+        for (_, failure), expected in zip(failing, alone, strict=True):
+            assert isinstance(failure, SingularStepMatrixError)
+            assert (failure.step, failure.time) == (expected.step, expected.time)
+            assert type(failure.__cause__) is type(expected.__cause__)
         lone = solve_westervelt_linearized(
             members[0], basis, field_of(alpha[0, :, 0]), source, None, config
         )
         assert np.array_equal(traj.coeff, lone.coeff)
         assert np.array_equal(traj.coeff_tt, lone.coeff_tt)
+        monkeypatch.setattr(jmgt_lab.integrate, "_integrate", lambda *args: results)
+        with pytest.raises(SingularStepMatrixError) as info:
+            jmgt_lab.integrate._solve_linear(
+                2, members, basis, constant_field(1.0), source, None, config,
+                BoundaryKind.PURE_NEUMANN,
+            )
+        assert info.value is results[1][1]
 
     @staticmethod
     def failing_batch(alpha_rows):
-        """The second-order batch of ``alpha_rows`` (one per member) and its _integrate result."""
+        """The second-order batch of ``alpha_rows`` (one per member) and its _integrate rows."""
         basis = build_basis(L, 4)
         config = SolverConfig(dt=0.1, t_final=1.0, n_modes=4)
         deltas = 1.0 - 0.2 * np.arange(len(alpha_rows))
@@ -649,8 +685,8 @@ class TestLockstep:
         )
 
     def test_a_failing_batch_is_integrated_once(self, monkeypatch):
-        # the batch of the test above: the first failing member is read off the stepped batch,
-        # and the member before it is not integrated again
+        # the batch of the test above: every member's failure is read off the stepped batch,
+        # and no member is integrated again
         calls = []
         original = jmgt_lab.integrate._integrate
 
@@ -662,10 +698,12 @@ class TestLockstep:
         rows = np.ones((3, 11))
         rows[1, 6:] = 0.0
         rows[2, 3:] = np.nan
-        trajectories, failure = self.failing_batch(rows)
+        results = self.failing_batch(rows)
         assert calls == [3]
-        assert len(trajectories) == 1
-        assert (failure.step, type(failure.__cause__)) == (6, np.linalg.LinAlgError)
+        healthy, singular, nan = (failure for _, failure in results)
+        assert healthy is None
+        assert (singular.step, type(singular.__cause__)) == (6, np.linalg.LinAlgError)
+        assert (nan.step, nan.__cause__) == (3, None)
 
     def test_a_singular_step_after_a_nan_step_is_not_the_cause(self):
         # member 1's alpha is NaN from step 3 and zero from step 6: run alone, it fails
@@ -674,8 +712,8 @@ class TestLockstep:
         rows[1, 3:6] = np.nan
         rows[1, 6:] = 0.0
         for batch in (rows, rows[1:]):
-            trajectories, failure = self.failing_batch(batch)
-            assert len(trajectories) == len(batch) - 1
+            *healthy, (_, failure) = self.failing_batch(batch)
+            assert [error for _, error in healthy] == [None] * (len(batch) - 1)
             assert (failure.step, failure.__cause__) == (3, None)
 
     def test_singular_step_in_a_round_stops_at_its_member(self, monkeypatch):
@@ -694,19 +732,20 @@ class TestLockstep:
 
         def integrate(order, batch, *rest):
             batch_sizes.append((len(batch), rest[-1]))
-            trajectories, failure = original(order, batch, *rest)
+            results = original(order, batch, *rest)
             if len(batch_sizes) == 2:
-                # rows 0 and 1 are round 2 of members 0 and 1; row 2 fails
-                return trajectories[:2], SingularStepMatrixError(7, 0.035)
-            return trajectories, failure
+                # rows 0 to 4 are round 2 of the five members; row 2 fails
+                results[2] = (results[2][0], SingularStepMatrixError(7, 0.035))
+            return results
 
         monkeypatch.setattr(jmgt_lab.nonlinear, "_integrate", integrate)
         failure, warned = record_warnings(lambda: jmgt_lab.nonlinear._picard_loop(members, *args))
         assert isinstance(failure, SingularStepMatrixError)
         assert (failure.step, failure.time) == (7, 0.035)
-        # (members, rounds) of each step loop: round 1, the window of rounds 2 and 3, then
-        # members 0 and 1 from round 3 on (they converge at 13 and 16)
-        assert batch_sizes == [(5, 1), (5, 2)] + [(2, 5)] * 3
+        # (members, rounds) of each step loop: round 1, the window of rounds 2 and 3 (whose
+        # round 3 rows of members 0 and 1 are kept), members 0 and 1 in rounds 4 to 13
+        # (member 0 converges at 13), then member 1 from round 14 (it converges at 16)
+        assert batch_sizes == [(5, 1), (5, 2), (2, 5), (2, 5), (1, 10)]
         assert (len(lone[0]), len(lone[1])) == (10, 14)
         assert warned == lone[0] + lone[1]
 
@@ -825,19 +864,19 @@ class TestWindowedRounds:
         if variant is not NonlinearVariant.WESTERVELT:
             assert calls[-1] == (3, 2)
 
-    def test_a_discarded_row_that_fails_is_stepped_again(self, monkeypatch):
+    def test_a_discarded_row_that_fails_is_ignored(self, monkeypatch):
         # tau = 0.3 converges at 7, the first round of the window of rounds 7 to 11; a
-        # singular step in its discarded round-8 row cuts off tau = 0.1's round-8 row, so
-        # round 8 is stepped again in a window of its own, and nothing is reported
+        # singular step in its discarded round-8 row (row 2) is never read, so tau = 0.1
+        # runs on from the same window, no round is stepped again, and nothing is reported
         calls = []
         original = jmgt_lab.nonlinear._integrate
 
         def integrate(order, batch, *rest):
             calls.append((len(batch), rest[-1]))
-            trajectories, failure = original(order, batch, *rest)
+            results = original(order, batch, *rest)
             if len(calls) == 3:
-                return trajectories[:2], SingularStepMatrixError(7, 0.14)
-            return trajectories, failure
+                results[2] = (results[2][0], SingularStepMatrixError(7, 0.14))
+            return results
 
         monkeypatch.setattr(jmgt_lab.nonlinear, "_integrate", integrate)
         basis = build_basis(L, 6)
@@ -847,4 +886,29 @@ class TestWindowedRounds:
         members = self.members((0.3, 0.1), variant, bc)
         runs = self.run_both(members, (basis, None, sig, config, bc, variant))
         assert [report.iterations for _, report in runs] == [7, 9]
-        assert calls[:4] == [(2, 1), (2, 5), (2, 5), (1, 10)]
+        assert calls == [(2, 1), (2, 5), (2, 5)]
+
+    def test_finished_windows_are_freed(self, monkeypatch):
+        # the config above: at the start of each step loop no earlier loop's stored array
+        # is alive, so no name keeps a judged window (and every view into it) in memory
+        windows, live = [], []
+        original = jmgt_lab.nonlinear._integrate
+
+        def integrate(*args):
+            gc.collect()
+            live.append(sum(window() is not None for window in windows))
+            results = original(*args)
+            stored = results[0][0].coeff.base
+            assert stored.ndim == 4  # the (derivative, row, column, mode) array of the loop
+            windows.append(weakref.ref(stored))
+            return results
+
+        monkeypatch.setattr(jmgt_lab.nonlinear, "_integrate", integrate)
+        basis = build_basis(L, 6)
+        sig = WindowedSignal(1.5, 2.0, 5, 1.0)
+        config = SolverConfig(dt=1 / 50, t_final=1.0, n_modes=6, picard_tol=1e-10)
+        bc, variant = BoundaryKind.PURE_NEUMANN, NonlinearVariant.FULL_JMGT
+        members = self.members((0.3, 0.1), variant, bc)
+        runs = jmgt_lab.nonlinear._picard_loop(members, basis, None, sig, config, bc, variant)
+        assert [report.iterations for _, report in runs] == [7, 9]
+        assert live == [0, 0, 0]

@@ -186,12 +186,14 @@ class TimeVaryingMass:
     I - 2k * (c @ T).reshape(n, n), with no quadrature (zero velocity or
     k = 0 gives I exactly).  Every other mass is the quadrature Gram of
     ``alpha_values(m)``, clamp_h(psi_t, k) for an iterate without ``products``.
-    ``frozen_matrix`` forms the same masses from psi_t rows that are not
-    stored in ``rows``: the later rounds of a window of Picard rounds.
-    ``constant`` tells that no mass of the batch changes after M(t_1): no
-    member's row from 1 on differs from the one before (a NaN differs from
-    itself, and a row of a member with k = 0 never differs, since its
-    coefficient is exactly 1 whatever psi_t is).
+    Every mass is split as M = ``_fixed`` + ``_varying(values, k)``: the fixed
+    part is I for the closed form (the varying part (-2k c) @ T) and 0 for a
+    Gram (the varying part the Gram itself).  ``_varying`` also forms the
+    masses of psi_t rows that are not stored in ``rows``: the later rounds of
+    a window of Picard rounds.  ``constant`` tells that no mass of the batch
+    changes after M(t_1): no member's row from 1 on differs from the one
+    before (a NaN differs from itself, and a row of a member with k = 0 never
+    differs, since its coefficient is exactly 1 whatever psi_t is).
     """
 
     def __init__(
@@ -207,6 +209,7 @@ class TimeVaryingMass:
         self.rows = rows
         self.k = k
         self._products = products
+        self._fixed = np.eye(basis.n) if products is not None else 0.0
         differs = np.any(rows[..., 2:, :] != rows[..., 1:-1, :], axis=-1)
         if k is not None:
             differs &= k != 0.0
@@ -218,20 +221,21 @@ class TimeVaryingMass:
         return self._coefficient(self.rows[:, m], self.k)
 
     def matrix(self, m: int) -> np.ndarray:
-        """M(t_m), one per member; every mass of a run is built through here."""
+        """M(t_m), one per member; a constant batch builds its one mass through here."""
         if self._products is None:
             return _weighted_gram(self._modes, self.quad.weights * self.alpha_values(m))
-        return self.frozen_matrix(self.rows[:, m], self.k)
+        return self._fixed + self._varying(self.rows[:, m], self.k)
 
-    def frozen_matrix(self, velocity: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """The masses of this batch's coefficient at psi_t coefficient rows ``velocity[b]``
-        and nonlinearities ``k[b, 0]``; each has the bits of a lone row's."""
+    def _varying(self, values: np.ndarray, k: np.ndarray | None) -> np.ndarray:
+        """The varying part of the masses of mass rows ``values[b]`` (alpha rows, or psi_t
+        coefficient rows with nonlinearities ``k[b, 0]``); each has the bits of a lone row's."""
+        if self.k is None:
+            return _weighted_gram(self._modes, self.quad.weights * values)
         if self._products is None:
-            return _weighted_gram(self._modes, self.quad.weights * self._coefficient(velocity, k))
-        count, n = velocity.shape
+            return _weighted_gram(self._modes, self.quad.weights * self._coefficient(values, k))
+        count, n = values.shape
         # a stacked [B, 1, n] @ [n, n*n] product gives each member the bits of a lone run
-        products = (velocity[:, None, :] @ self._products).reshape(count, n, n)
-        return np.eye(n) - 2.0 * k[:, :, None] * products
+        return ((-2.0 * k * values)[:, None, :] @ self._products).reshape(count, n, n)
 
     def _coefficient(self, velocity: np.ndarray, k: np.ndarray) -> np.ndarray:
         """The frozen Picard coefficient at the quadrature nodes of psi_t coefficient rows."""

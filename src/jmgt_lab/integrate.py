@@ -8,14 +8,18 @@ derivative; the lower ones follow by back-substitution.  The stepping core
 takes a batch of members that share basis, quadrature and time grid, with
 their masses and loads; a single run is a batch of one.  The time-invariant
 part of the step matrix is built once per BDF coefficient, and the core
-makes one choice per batch: a batch whose masses never change builds one
+makes one choice per batch.  A batch whose masses never change builds one
 mass, inverts its two step matrices (startup and BDF2) and steps by
-matrix-vector products; any other batch rebuilds the mass and the step
-matrix and makes one stacked solve at every step.  Every batch an entry
-point builds is of one kind throughout.  A batch of the second kind can also
-be a window of consecutive Picard rounds of its members, each round one step
-behind the round whose psi_t forms its masses.  ``_prepare_data`` holds the
-rules that define the systems for the linear and the fixed-point drivers.
+matrix-vector products.  Any other batch takes a fused step: its masses are
+split as M = M0 + V, the map from a row's two latest stored steps to its
+shifts and the step matrix without V are precomputed per row, and each step
+forms V, adds it and makes one stacked solve.  The constant body keeps its
+own arithmetic, on which pinned report cells depend beyond their gate.
+Every batch an entry point builds is of one kind throughout.  A batch of the
+second kind can also be a window of consecutive Picard rounds of its
+members, each round one step behind the round whose psi_t forms its masses.
+``_prepare_data`` holds the rules that define the systems for the linear and
+the fixed-point drivers.
 """
 
 from __future__ import annotations
@@ -240,26 +244,7 @@ def _integrate(
     grid and boundary kind, and are stepped together; B = 1 is the single
     run.  Member b has parameters ``members[b]``, its masses in ``masses``
     (member axis first, of length B, or 1 for masses shared by all) and its
-    load ``loads[b, m]`` at grid time m.  One rule steps the whole batch: if
-    ``masses.constant``, the mass is built once and the step matrix is
-    inverted at the startup and at the BDF2 c0, so each step is
-    ``inverse @ rhs``; otherwise each step forms the masses (``masses.matrix``
-    for a linear batch, ``masses.frozen_matrix`` for a Picard one) and the
-    step matrices, and makes one stacked solve.  Every batch an entry point
-    builds is uniform, so a member's numbers are bit for bit those of a lone
-    run; in a mixed batch, which only tests build, a constant member solves
-    with the others and matches its lone run to roundoff.
-
-    One loop steps ``rounds`` consecutive Picard rounds of the members as
-    ``rounds * B`` rows, round-major; a linear or constant batch is one
-    round.  Round j starts j steps late, and its mass at its step m is formed
-    from the psi_t that round j - 1 stored for t_{m+1} one loop step earlier
-    (round 0 reads ``masses.rows``).  Row (j, b) stores grid time t in column
-    t + j of the derivative and load arrays, so each loop step reads and
-    writes one column of the rows that are stepping.  The startup and BDF2
-    gains are per row, and a plan is precomputed for each loop step where
-    some rows take their startup.  So every row does the operations of its
-    lone round and keeps its bits.
+    load ``loads[b, m]`` at grid time m.
 
     The stored derivatives are xi and its first ``order - 1`` time
     derivatives, and the highest of them is the unknown of each step.  With
@@ -268,11 +253,39 @@ def _integrate(
     difference s*top - h/dt.  Inserting these into the momentum balance
     leaves one n x n system per step and member.  For order 3 the top is
     xi'' and xi''' is its BDF difference; for order 2 (params at tau = 0, so
-    b = delta) the top is xi' and xi'' is its BDF difference.
-
-    The step matrix is the gain-weighted sum of the coefficients; its elastic,
+    b = delta) the top is xi' and xi'' is its BDF difference.  The step
+    matrix is the gain-weighted sum of the coefficients; its elastic,
     damping and inertia terms depend only on c0 (1 at the startup step, 1.5
     after it), so they are summed once per c0.
+
+    A row stores its derivatives by step, all derivatives of a step together,
+    after a zero column.  One rule picks the loop body.  A batch with
+    ``masses.constant`` (always one round: ``_picard_loop`` never windows one)
+    builds its mass once, inverts its step matrix at the startup and at the
+    BDF2 c0, and steps by ``inverse @ rhs`` after the shift recurrence.  Every
+    other batch (a time-varying alpha, Picard rounds after the first) takes
+    the fused body.
+    Per plan and row it precomputes the map S from the row's two latest
+    columns to its shifts (implicit-Euler weights at the startup, which read
+    only the column of the initial data; BDF2 weights after it) and the step
+    matrix without the varying part V of the mass M = M0 + V
+    (``TimeVaryingMass._fixed`` and ``_varying``).  Each step then forms V and
+    solves (base + g2 V) top = load - C shifts - V shifts[2] for all rows at
+    once, with g2 the gain of xi'' and C the fixed coefficients, and stores
+    every derivative of the new step in one assignment.  For order 3, V
+    multiplies the top itself, whose gain is 1 and shift 0.  The constant body
+    keeps its own arithmetic: the fused one would move the pinned ``mms``
+    report cells past their 1e-8 gate.
+
+    The fused body steps ``rounds`` consecutive Picard rounds of the members
+    as ``rounds * B`` rows, round-major.  Round j starts j steps late, and its
+    mass at its step m is formed from the psi_t that round j - 1 stored for
+    t_{m+1} one loop step earlier (round 0 reads ``masses.rows``).  Row (j, b)
+    stores grid time t in column t + j + 1, so each loop step reads two
+    columns and writes one of the rows that are stepping.  The startup and
+    BDF2 terms are per row, and a plan is precomputed for each loop step where
+    some rows take their startup.  So every row does the operations of its
+    lone round and keeps its bits.
 
     Every row is stepped to the horizon, and failures are read after the
     loop: a row fails at its first step, step 0 (the F(0)/tau of order 3)
@@ -289,6 +302,7 @@ def _integrate(
     times = config.times
     count = len(members)
     rows = rounds * count
+    columns = steps + rounds + 1
 
     stiffness = assemble_stiffness(basis, masses.quad)
     boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
@@ -307,92 +321,126 @@ def _integrate(
 
     # per row: the gains of the coefficients (derivative j = gains[j] * top + shifts[j]),
     # powers of s = c0/dt with s itself at gains[order], and the step-matrix terms without
-    # mass, where c0 is 1 at the row's startup and 1.5 after it; plans[m] serves loop step
-    # m < rounds, where round m takes its startup, and plans[rounds] every later step
+    # mass, where c0 is 1 at the row's startup and 1.5 after it; plans[p] serves loop step
+    # p < rounds, where round p takes its startup, and plans[rounds] every later step
     plans = []
-    for m in range(rounds + 1):
-        s = np.where(np.arange(rows) < m * count, 1.5, 1.0)[:, None] / dt
+    for p in range(rounds + 1):
+        s = np.where(np.arange(rows) < p * count, 1.5, 1.0)[:, None] / dt
         gains = s ** np.arange(1.0 - order, 2.0)[:, None, None]
         weights = gains[..., None]
         fixed = sum(weight * coefficient for weight, coefficient in zip(weights, coefficients[:2]))
         inertia_term = weights[3] * coefficients[3] if order == 3 else None
         plans.append((gains, fixed, inertia_term))
 
-    def step_matrix(plan, lo, hi):
+    def step_matrix(plan):
         gains, fixed, inertia_term = plan
-        matrix = fixed[lo:hi] + gains[2, lo:hi, :, None] * coefficients[2, lo:hi]
-        return matrix if inertia_term is None else matrix + inertia_term[lo:hi]
+        matrix = fixed + gains[2, :, :, None] * coefficients[2]
+        return matrix if inertia_term is None else matrix + inertia_term
 
+    first = None
+    if order == 3:
+        first = loads[:, 0] / np.array([[params.tau] for params in members])
     singular = {}  # (row, step) -> the LinAlgError of that row's solve or inverse
     if masses.constant:
         np.add(masses.matrix(1), acc_extra, out=coefficients[2])
-        # the inverted startup (step 1) and BDF2 (steps 2 on) step matrices of the one round
+        # the inverted startup (step 1) and BDF2 (steps 2 on) step matrices
         inverted = []
         for step, plan in zip((1, 2), plans):
-            inverse, errors = _by_member(np.linalg.inv, step_matrix(plan, 0, rows))
+            inverse, errors = _by_member(np.linalg.inv, step_matrix(plan))
             singular.update(((row, step), exc) for row, exc in errors.items())
             inverted.append(inverse)
-    elif masses.k is not None:
-        # the psi_t rows of one loop step's masses, round-major, and their k
-        velocity = np.empty((rows, n))
-        k_rows = np.tile(masses.k, (rounds, 1))
-
-    # derivs[j, r] is row r's j-th time derivative (derivs[order] the BDF difference)
-    # and skewed[r] its load, both by column
-    derivs = np.zeros((order + 1, rows, steps + rounds, n))
-    skewed = np.zeros((rows, steps + rounds, n))
-    if order == 3:
-        first = loads[:, 0] / np.array([[params.tau] for params in members])
-    for j in range(rounds):
-        block = slice(j * count, (j + 1) * count)
-        skewed[block, j : j + steps + 1] = loads
-        if order == 3:
-            derivs[3, block, j] = first
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(steps + rounds - 1):
-            # the rows of the rounds that have started and not yet reached the horizon
-            lo, hi = max(0, m - steps + 1) * count, min(m + 1, rounds) * count
-            plan = plans[min(m, rounds)]
-            gains = plan[0][:, lo:hi]
-            s = gains[order]
-            if m == 0:
-                hist = derivs[:order, lo:hi, 0]
-            else:
-                # a round's startup step reads the zeros before its zero initial data
-                hist = 2.0 * derivs[:order, lo:hi, m] - 0.5 * derivs[:order, lo:hi, m - 1]
+        # derivs[j, r, c] is row r's j-th time derivative in column c (derivs[order] the BDF
+        # difference), grid time t in column t + 1; allocated once the inversion's
+        # temporaries are freed, which keeps the peak memory of a large run down
+        derivs = np.zeros((order + 1, rows, columns, n))
+        stored = derivs.transpose(1, 2, 0, 3)
+        if first is not None:
+            derivs[3, :, 1] = first
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(steps):
+                gains = plans[min(m, 1)][0]
+                s = gains[order]
+                if m == 0:
+                    hist = derivs[:order, :, 1]
+                else:
+                    hist = 2.0 * derivs[:order, :, m + 1] - 0.5 * derivs[:order, :, m]
+                scaled = hist / dt
+                shifts = np.zeros((order + 1, rows, n))
+                shifts[order] = -scaled[order - 1]
+                for j in range(order - 2, -1, -1):
+                    shifts[j] = (shifts[j + 1] + scaled[j]) / s
+                rhs = loads[:, m + 1, :, None] - (coefficients @ shifts[..., None]).sum(axis=0)
+                top = inverted[min(m, 1)] @ rhs
+                derivs[:, :, m + 2] = gains * top[:, :, 0] + shifts
+    else:
+        np.add(masses._fixed, acc_extra, out=coefficients[2])
+        # C[r] @ shifts[r] is the sum over derivatives j of coefficients[j, r] @ shifts[r, j]
+        planes = coefficients.transpose(1, 2, 0, 3).reshape(rows, n, (order + 1) * n)
+        # per plan: the map S from a row's two latest columns (previous, current) to its
+        # shifts, the step matrix without the varying mass, the gains by row and the gain g2
+        # of xi''
+        unit = np.eye(2 * (order + 1)).reshape(2, order + 1, 2 * (order + 1))
+        fused = []
+        for p, plan in enumerate(plans):
+            bdf2 = (np.arange(rows) < p * count)[:, None, None]
+            hist = np.where(bdf2, 2.0 * unit[1, :order] - 0.5 * unit[0, :order], unit[1, :order])
             scaled = hist / dt
-            shifts = np.zeros((order + 1, hi - lo, n))
-            shifts[order] = -scaled[order - 1]
+            shift_map = np.zeros((rows, order + 1, 2 * (order + 1)))
+            shift_map[:, order] = -scaled[:, order - 1]
             for j in range(order - 2, -1, -1):
-                shifts[j] = (shifts[j + 1] + scaled[j]) / s
-            if not masses.constant:
+                shift_map[:, j] = (shift_map[:, j + 1] + scaled[:, j]) / plan[0][order]
+            gains = plan[0].transpose(1, 0, 2)
+            fused.append((shift_map, step_matrix(plan), gains, gains[:, 2:3]))
+
+        # stored[r, c, j] is row r's j-th time derivative in column c
+        stored = np.zeros((rows, columns, order + 1, n))
+        if masses.k is not None:
+            # the psi_t rows of one loop step's masses, round-major, and their k
+            velocity = np.empty((rows, n))
+            k_rows = np.tile(masses.k, (rounds, 1))
+        # skewed[r] is row r's load, by column of its stored data less one
+        skewed = np.zeros((rows, steps + rounds, n))
+        for j in range(rounds):
+            block = slice(j * count, (j + 1) * count)
+            skewed[block, j : j + steps + 1] = loads
+            if first is not None:
+                stored[block, j + 1, 3] = first
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(steps + rounds - 1):
+                # the rows of the rounds that have started and not yet reached the horizon
+                lo, hi = max(0, m - steps + 1) * count, min(m + 1, rounds) * count
+                shift_map, base, gains, g2 = [part[lo:hi] for part in fused[min(m, rounds)]]
+                shifts = shift_map @ stored[lo:hi, m : m + 2].reshape(hi - lo, -1, n)
                 if masses.k is None:
-                    mass = masses.matrix(m + 1)
+                    mass = masses._varying(masses.rows[:, m + 1], None)
                 else:
                     # round 0 reads the previous iterate, round j the psi_t of round j - 1
                     if m < steps:
                         velocity[:count] = masses.rows[:, m + 1]
-                    velocity[count:hi] = derivs[1, : hi - count, m]
-                    mass = masses.frozen_matrix(velocity[lo:hi], k_rows[lo:hi])
-                np.add(mass, acc_extra[lo:hi], out=coefficients[2, lo:hi])
-            load = skewed[lo:hi, m + 1, :, None]
-            rhs = load - (coefficients[:, lo:hi] @ shifts[..., None]).sum(axis=0)
-            if masses.constant:
-                top = inverted[min(m, 1)] @ rhs
-            else:
-                top, errors = _by_member(np.linalg.solve, step_matrix(plan, lo, hi), rhs)
+                    velocity[count:hi] = stored[: hi - count, m + 1, 1]
+                    mass = masses._varying(velocity[lo:hi], k_rows[lo:hi])
+                load = skewed[lo:hi, m + 1, :, None]
+                rhs = load - planes[lo:hi] @ shifts.reshape(hi - lo, -1, 1)
+                if order == 3:
+                    # the mass multiplies the top itself: gain 1 and shift 0
+                    matrix = base + mass
+                else:
+                    # the mass multiplies xi'', the top's BDF difference g2 * top + shifts[2]
+                    matrix = base + g2 * mass
+                    rhs -= mass @ shifts[:, 2, :, None]
+                top, errors = _by_member(np.linalg.solve, matrix, rhs)
                 for index, exc in errors.items():
                     row = lo + index
                     singular[row, m + 1 - row // count] = exc
-            derivs[:, lo:hi, m + 1] = gains * top[:, :, 0] + shifts
+                np.add(gains * top.swapaxes(1, 2), shifts, out=stored[lo:hi, m + 2])
 
     results = []
     for row, params in enumerate(members * rounds):
         j = row // count
-        stored = derivs[:, row, j : j + steps + 1]
-        traj = Trajectory(times, *stored[:3], stored[3] if order == 3 else None, bc, params)
+        series = stored[row, j + 1 : j + steps + 2].swapaxes(0, 1)
+        traj = Trajectory(times, *series[:3], series[3] if order == 3 else None, bc, params)
         # bad[t]: a derivative that the row stores for grid time t is not finite
-        bad = ~np.isfinite(stored).all(axis=(0, 2))
+        bad = ~np.isfinite(series).all(axis=(0, 2))
         failure = None
         if bad.any():
             step = int(bad.argmax())

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,12 +17,13 @@ from jmgt_lab import (
     assemble_boundary,
     assemble_load,
     assemble_mass,
+    assemble_stiffness,
     build_basis,
     build_quadrature,
     constant_field,
     solve_smgt_linear,
 )
-from jmgt_lab.assembly import TimeVaryingMass, _triple_products
+from jmgt_lab.assembly import TimeVaryingMass, _triple_products, assemble_loads
 from jmgt_lab.exceptions import PicardDivergenceError, SolverFailure
 from jmgt_lab.integrate import _integrate, _prepare_data
 from jmgt_lab.nonlinear import NonlinearVariant, PicardReport, _advance
@@ -114,6 +116,64 @@ def z_ode_residual(traj, basis, field, f=None, g=None) -> np.ndarray:
         ) / b
         maxima[m] = np.abs(z_rate[m] + (c2 / b) * z[m] - forcing).max()
     return maxima
+
+
+def reference_bdf2(order, params, basis, field, f, g, config, bc):
+    """Textbook BDF2 oracle for the linear systems, sharing no code with the solvers' step loop.
+
+    The momentum balance is written as a first-order system in z = (xi, xi', xi'')
+    (order 3) or z = (xi, xi') (order 2, at tau = 0, so b = delta), and every step
+    solves the dense system (c0 z_{m+1} - h) / dt = G(t_{m+1}, z_{m+1}) for the whole
+    state with ``np.linalg.solve``: the first step is implicit Euler (c0 = 1,
+    h = z_0), every later one BDF2 (c0 = 3/2, h = 2 z_m - z_{m-1} / 2).  The mass is
+    ``assemble_mass`` at t_{m+1}.  The derivative stored above the state is the BDF
+    difference of its top entry, and at t = 0 it is F(0)/tau (zero data).  Returns a
+    Trajectory.
+    """
+    if order == 2:
+        params = replace(params, tau=0.0)
+    n, dt = basis.n, config.dt
+    quad = build_quadrature(basis.length, config.quad_points)
+    stiffness = assemble_stiffness(basis, quad)
+    right = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else np.zeros((n, n))
+    loads = assemble_loads(basis, quad, f, g, params, config.times)
+    inertia = params.b * params.beta * right
+    damping = params.b * stiffness + params.c2 * params.beta * right
+    eye = np.eye(n)
+    size = order * n
+    top = slice((order - 1) * n, size)
+    state = np.zeros((config.n_steps + 1, size))
+    above = np.zeros((config.n_steps + 1, n))
+    if order == 3:
+        above[0] = loads[0] / params.tau
+    for m in range(config.n_steps):
+        c0 = 1.0 if m == 0 else 1.5
+        h = state[0] if m == 0 else 2.0 * state[m] - 0.5 * state[m - 1]
+        mass = assemble_mass(basis, quad, field, config.times[m + 1]) + inertia
+        matrix = np.zeros((size, size))
+        rhs = np.zeros(size)
+        # each derivative below the top: (c0 z_j - h_j) / dt = z_{j+1}
+        for j in range(order - 1):
+            block = slice(j * n, (j + 1) * n)
+            matrix[block, block] = c0 / dt * eye
+            matrix[block, (j + 1) * n : (j + 2) * n] = -eye
+            rhs[block] = h[block] / dt
+        matrix[top, :n] = params.c2 * stiffness
+        if order == 3:
+            # tau (c0 w - h_w) / dt + (M + b beta B) w + (b K + c2 beta B) xi' + c2 K xi = F
+            matrix[top, n : 2 * n] = damping
+            matrix[top, top] = params.tau * c0 / dt * eye + mass
+            rhs[top] = loads[m + 1] + params.tau * h[top] / dt
+        else:
+            # (M + b beta B)(c0 v - h_v) / dt + (b K + c2 beta B) v + c2 K xi = F
+            matrix[top, top] = c0 / dt * mass + damping
+            rhs[top] = loads[m + 1] + mass @ h[top] / dt
+        state[m + 1] = np.linalg.solve(matrix, rhs)
+        above[m + 1] = (c0 * state[m + 1, top] - h[top]) / dt
+    series = [state[:, j * n : (j + 1) * n] for j in range(order)]
+    if order == 2:
+        return Trajectory(config.times, *series, above, None, bc, params)
+    return Trajectory(config.times, *series, above, bc, params)
 
 
 def fd_weights(center: float, nodes: np.ndarray, order: int) -> np.ndarray:

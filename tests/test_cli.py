@@ -561,7 +561,7 @@ class TestSweepBatches:
             "failure,message,degeneracy margin -0.00711744 <= 0 at t = 1.085 "
             "(fixed-point iteration 4)\n"
             "failure,violation_time,1.085\n"
-            "failure,margin,-0.0071174446471482522\n"
+            "failure,margin,-0.007117444647147142\n"
             "failure,iteration,4\n"
         )
         stderr = capsys.readouterr().err

@@ -11,6 +11,7 @@ reported as if they were solved one after another in sweep order.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import math
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import constant_field
+from .assembly import TimeVaryingMass, constant_field, sample_field
 from .basis import SpectralBasis, build_basis
 from .config import ExperimentConfig, parse_config
 from .energy import (
@@ -43,7 +44,8 @@ from .exceptions import (
     NonFiniteNormError,
     SolverFailure,
 )
-from .integrate import Trajectory, _solve_linear, solve_smgt_linear, solve_westervelt_linearized
+from .integrate import Trajectory, _integrate, _prepare_data, _solve_linear, solve_smgt_linear
+from .model import BoundaryKind
 from .nonlinear import (
     NonlinearVariant,
     PicardReport,
@@ -217,25 +219,36 @@ def mms_study(config: ExperimentConfig) -> tuple[list[MmsRow], Trajectory]:
 
         return source
 
-    field = constant_field(1.0)
+    field, bc, levels = constant_field(1.0), BoundaryKind.PURE_NEUMANN, config.mms_levels
+    # a system's levels are one batch, a row per level, finest first; the grids are nested
+    # bit for bit, so level l reads every 2**(levels - 1 - l)-th load and alpha of the finest
+    solver = replace(config.solver, dt=config.solver.dt / 2 ** (levels - 1))
+    strides = 2 ** np.arange(levels)
     rows: list[MmsRow] = []
     finest: Trajectory | None = None
-    for solver_name, solve, forcing in (
-        ("smgt", solve_smgt_linear, forcing_for(params)),
-        ("westervelt", solve_westervelt_linearized, forcing_for(replace(params, tau=0.0))),
+    for solver_name, order, forcing in (
+        ("smgt", 3, forcing_for(params)),
+        ("westervelt", 2, forcing_for(replace(params, tau=0.0))),
     ):
+        members, quad, loads = _prepare_data(order, [params], basis, forcing, None, solver, bc)
+        masses = TimeVaryingMass(basis, quad, sample_field(field, quad.nodes, solver.times)[None])
+        nested = np.zeros((levels, solver.n_steps + 1, basis.n))
+        for row, stride in enumerate(strides):
+            nested[row, : solver.n_steps // stride + 1] = loads[0, ::stride]
+        runs = _integrate(order, members * levels, basis, masses, nested, solver, bc, 1, strides)
         previous_error = None
-        for level in range(config.mms_levels):
-            solver_cfg = replace(config.solver, dt=config.solver.dt / 2**level)
-            traj = solve(params, basis, field, forcing, None, solver_cfg)
+        for level, (traj, failure) in enumerate(reversed(runs)):  # fails as lone runs would
+            if failure is not None:
+                raise failure
             exact = np.zeros_like(traj.coeff)
             exact[:, 1] = amp * traj.times**3
             error = float(np.sqrt(((traj.coeff - exact) ** 2).sum(axis=1)).max())
-            order = None if previous_error is None else math.log2(previous_error / error)
-            rows.append(MmsRow(solver=solver_name, dt=solver_cfg.dt, error=error, observed_order=order))
+            observed = None if previous_error is None else math.log2(previous_error / error)
+            rows.append(MmsRow(solver_name, config.solver.dt / 2**level, error, observed))
             previous_error = error
-            if solver_name == "smgt":
-                finest = traj
+        if solver_name == "smgt":
+            finest = copy.deepcopy(traj)  # a view of the finest level keeps the batch alive
+        del runs, traj  # so the batch is freed before the next one steps
     return rows, finest
 
 

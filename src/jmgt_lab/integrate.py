@@ -5,16 +5,18 @@ implicit-Euler startup step.  The pair is A-stable and strongly damping at
 infinity, which the third-order system needs because tau multiplies its
 highest derivative.  Each step solves one n x n system for the highest stored
 derivative; the lower ones follow by back-substitution.  The stepping core
-takes a batch of members that share basis, quadrature and time grid, with
+takes a batch of members that share basis, quadrature and horizon, with
 their masses and loads; a single run is a batch of one.  The time-invariant
 part of the step matrix is built once per BDF coefficient, and the core
 makes one choice per batch.  A batch whose masses never change builds one
 mass, inverts its two step matrices (startup and BDF2) and steps by
-matrix-vector products.  Any other batch takes a fused step: its masses are
-split as M = M0 + V, the map from a row's two latest stored steps to its
-shifts and the step matrix without V are precomputed per row, and each step
-forms V, adds it and makes one stacked solve.  The constant body keeps its
-own arithmetic, on which pinned report cells depend beyond their gate.
+matrix-vector products; its members may differ in time step, so that
+``mms`` steps the refinement levels of a system as one batch.  Any other
+batch steps on one grid and takes a fused step: its masses are split as
+M = M0 + V, the map from a row's two latest stored steps to its shifts and
+the step matrix without V are precomputed per row, and each step forms V,
+adds it and makes one stacked solve.  The constant body keeps its own
+arithmetic, on which pinned report cells depend beyond their gate.
 Every batch an entry point builds is of one kind throughout.  A batch of the
 second kind can also be a window of consecutive Picard rounds of its
 members, each round one step behind the round whose psi_t forms its masses.
@@ -237,14 +239,16 @@ def _integrate(
     config: SolverConfig,
     bc: BoundaryKind,
     rounds: int = 1,
+    strides: np.ndarray | int = 1,
 ) -> list[tuple[Trajectory, SingularStepMatrixError | None]]:
     """BDF2 core of both solvers; ``order`` is the system's order in time (3 or 2).
 
-    The members of a batch share basis, quadrature (``masses.quad``), time
-    grid and boundary kind, and are stepped together; B = 1 is the single
-    run.  Member b has parameters ``members[b]``, its masses in ``masses``
-    (member axis first, of length B, or 1 for masses shared by all) and its
-    load ``loads[b, m]`` at grid time m.
+    The members of a batch share basis, quadrature (``masses.quad``), horizon
+    and boundary kind, and are stepped together; B = 1 is the single run.
+    Member b has parameters ``members[b]``, its masses in ``masses`` (member
+    axis first, of length B, or 1 for masses shared by all) and its load
+    ``loads[b, m]`` at its grid time m, every ``strides[b]``-th time of
+    ``config``'s grid (nondecreasing strides, all 1 unless the batch is constant).
 
     The stored derivatives are xi and its first ``order - 1`` time
     derivatives, and the highest of them is the unknown of each step.  With
@@ -262,9 +266,10 @@ def _integrate(
     after a zero column.  One rule picks the loop body.  A batch with
     ``masses.constant`` (always one round: ``_picard_loop`` never windows one)
     builds its mass once, inverts its step matrix at the startup and at the
-    BDF2 c0, and steps by ``inverse @ rhs`` after the shift recurrence.  Every
-    other batch (a time-varying alpha, Picard rounds after the first) takes
-    the fused body.
+    BDF2 c0, and steps by ``inverse @ rhs`` after the shift recurrence, with
+    no allocation per step; a row leaves at its horizon, so the rows stepping
+    are a prefix.  Every other batch (a time-varying alpha, Picard rounds after
+    the first) takes the fused body.
     Per plan and row it precomputes the map S from the row's two latest
     columns to its shifts (implicit-Euler weights at the startup, which read
     only the column of the initial data; BDF2 weights after it) and the step
@@ -298,26 +303,33 @@ def _integrate(
     """
     n = basis.n
     steps = config.n_steps
-    dt = config.dt
     times = config.times
     count = len(members)
     rows = rounds * count
     columns = steps + rounds + 1
+    strides = np.broadcast_to(strides, rows)
+    if not (masses.constant or (strides == 1).all()):
+        raise ValueError("only a batch with constant masses steps on nested grids")
+    dt, row_steps = config.dt * strides[:, None], (steps // strides).tolist()
 
     stiffness = assemble_stiffness(basis, masses.quad)
     boundary = assemble_boundary(basis, End.RIGHT) if bc is BoundaryKind.MIXED else None
 
+    # derivative lay[i] is stored in plane i: a constant batch puts the top first (see its body)
+    lay = [order - 1, *range(order - 1), order] if masses.constant else list(range(order + 1))
+    place = np.argsort(lay)  # each derivative's plane
     # momentum-balance coefficients of xi, xi', xi'' (M(t) + acc_extra) and xi''', per row
-    coefficients = np.zeros((order + 1, rows, n, n))
+    stack = np.zeros((order + 1, rows, n, n))
+    coefficients = [stack[i] for i in place]
     acc_extra = np.zeros((rows, n, n))
     for row, params in enumerate(members * rounds):
-        coefficients[0, row] = params.c2 * stiffness
-        coefficients[1, row] = params.b * stiffness
+        coefficients[0][row] = params.c2 * stiffness
+        coefficients[1][row] = params.b * stiffness
         if boundary is not None:
-            coefficients[1, row] += params.c2 * params.beta * boundary
+            coefficients[1][row] += params.c2 * params.beta * boundary
             acc_extra[row] = params.b * params.beta * boundary
         if order == 3:
-            coefficients[3, row] = params.tau * np.eye(n)
+            coefficients[3][row] = params.tau * np.eye(n)
 
     # per row: the gains of the coefficients (derivative j = gains[j] * top + shifts[j]),
     # powers of s = c0/dt with s itself at gains[order], and the step-matrix terms without
@@ -349,33 +361,48 @@ def _integrate(
             inverse, errors = _by_member(np.linalg.inv, step_matrix(plan))
             singular.update(((row, step), exc) for row, exc in errors.items())
             inverted.append(inverse)
-        # derivs[j, r, c] is row r's j-th time derivative in column c (derivs[order] the BDF
-        # difference), grid time t in column t + 1; allocated once the inversion's
-        # temporaries are freed, which keeps the peak memory of a large run down
+        # derivs[i, r, c] is row r's derivative lay[i] (derivative order the BDF difference) at
+        # grid time c - 1, allocated after the inversion to keep the peak memory down; with the
+        # top first, the planes of the product (all but the top's, whose shift is 0) are [1:]
+        gains = [plan[0][lay] for plan in plans]
         derivs = np.zeros((order + 1, rows, columns, n))
         stored = derivs.transpose(1, 2, 0, 3)
         if first is not None:
-            derivs[3, :, 1] = first
+            derivs[order, :, 1] = first
+        hi, down = rows, range(order - 1, 0, -1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(steps):
-                gains = plans[min(m, 1)][0]
-                s = gains[order]
-                if m == 0:
-                    hist = derivs[:order, :, 1]
-                else:
-                    hist = 2.0 * derivs[:order, :, m + 1] - 0.5 * derivs[:order, :, m]
-                scaled = hist / dt
-                shifts = np.zeros((order + 1, rows, n))
-                shifts[order] = -scaled[order - 1]
-                for j in range(order - 2, -1, -1):
-                    shifts[j] = (shifts[j + 1] + scaled[j]) / s
-                rhs = loads[:, m + 1, :, None] - (coefficients @ shifts[..., None]).sum(axis=0)
-                top = inverted[min(m, 1)] @ rhs
-                derivs[:, :, m + 2] = gains * top[:, :, 0] + shifts
+            for m in range(row_steps[0]):
+                if m < 2 or m == row_steps[hi - 1]:
+                    # the rows still stepping (a prefix), their plan, buffers and views
+                    hi = sum(m < last for last in row_steps)
+                    weights, inverse = gains[min(m, 1)][:, :hi], inverted[min(m, 1)][:hi]
+                    hist, older = np.empty((2, order, hi, n))
+                    shifts, products = np.zeros((order + 1, hi, n)), np.empty((order, hi, n, 1))
+                    rhs, top = np.empty((2, hi, n, 1))
+                    s, step = weights[order], dt[:hi]
+                    factors, nonzero = stack[1:, :hi], shifts[1:, ..., None]
+                    # implicit Euler at the startup; the shift chain runs down from the top
+                    current, previous = (1.0, 0.0) if m == 0 else (2.0, 0.5)
+                    chain = [(shifts[i], shifts[(i + 1) % order], hist[i]) for i in down]
+                np.multiply(derivs[:order, :hi, m + 1], current, hist)
+                np.multiply(derivs[:order, :hi, m], previous, older)
+                np.subtract(hist, older, hist)
+                np.divide(hist, step, hist)
+                np.negative(hist[0], shifts[order])
+                for shift, upper, scaled in chain:
+                    np.add(upper, scaled, shift)
+                    np.divide(shift, s, shift)
+                np.matmul(factors, nonzero, products)
+                np.add.reduce(products, 0, None, rhs)
+                np.subtract(loads[:hi, m + 1, :, None], rhs, rhs)
+                np.matmul(inverse, rhs, top)
+                column = derivs[:, :hi, m + 2]
+                np.multiply(weights, top[:, :, 0], column)
+                np.add(column, shifts, column)
     else:
         np.add(masses._fixed, acc_extra, out=coefficients[2])
-        # C[r] @ shifts[r] is the sum over derivatives j of coefficients[j, r] @ shifts[r, j]
-        planes = coefficients.transpose(1, 2, 0, 3).reshape(rows, n, (order + 1) * n)
+        # C[r] @ shifts[r] is the sum over derivatives j of coefficients[j][r] @ shifts[r, j]
+        planes = stack.transpose(1, 2, 0, 3).reshape(rows, n, (order + 1) * n)
         # per plan: the map S from a row's two latest columns (previous, current) to its
         # shifts, the step matrix without the varying mass, the gains by row and the gain g2
         # of xi''
@@ -384,7 +411,7 @@ def _integrate(
         for p, plan in enumerate(plans):
             bdf2 = (np.arange(rows) < p * count)[:, None, None]
             hist = np.where(bdf2, 2.0 * unit[1, :order] - 0.5 * unit[0, :order], unit[1, :order])
-            scaled = hist / dt
+            scaled = hist / dt[:, :, None]
             shift_map = np.zeros((rows, order + 1, 2 * (order + 1)))
             shift_map[:, order] = -scaled[:, order - 1]
             for j in range(order - 2, -1, -1):
@@ -437,14 +464,15 @@ def _integrate(
     results = []
     for row, params in enumerate(members * rounds):
         j = row // count
-        series = stored[row, j + 1 : j + steps + 2].swapaxes(0, 1)
-        traj = Trajectory(times, *series[:3], series[3] if order == 3 else None, bc, params)
+        series = stored[row, j + 1 : j + row_steps[row] + 2].swapaxes(0, 1)
+        planes = [series[i] for i in place] + [None] * (3 - order)  # no xi''' for order 2
+        traj = Trajectory(times[:: strides[row]], *planes, bc, params)
         # bad[t]: a derivative that the row stores for grid time t is not finite
         bad = ~np.isfinite(series).all(axis=(0, 2))
         failure = None
         if bad.any():
             step = int(bad.argmax())
-            failure = SingularStepMatrixError(step, times[step])
+            failure = SingularStepMatrixError(step, traj.times[step])
             failure.__cause__ = singular.get((row, step))
         results.append((traj, failure))
     return results

@@ -311,6 +311,22 @@ class TestLoad:
             assert np.array_equal(loads[m], row)
             assert np.array_equal(assemble_load(basis, quad, f, g, params, float(t)), row)
 
+    @pytest.mark.parametrize("n", [6, 32, 128])
+    def test_stacked_projection_equals_one_product_per_time(self, n):
+        # the source values of a block of grid times are projected in one stacked product;
+        # 150 times make two full blocks and a partial one
+        basis = build_basis(2.0, n)
+        quad = build_quadrature(2.0, 4 * n)
+        params = ModelParams(c2=1.3, delta=0.7, tau=0.2)
+        times = 0.01 * np.arange(150)
+
+        def f(x, t):
+            return t * np.sin(3.0 * x) + t**2 * np.cos(x) + 1.0
+
+        modes = mode_matrix(basis, quad.nodes)
+        per_time = np.array([modes @ (quad.weights * f(quad.nodes, t)) for t in times])
+        assert np.array_equal(assemble_loads(basis, quad, f, None, params, times), per_time)
+
     def test_scalar_source_broadcasts_over_the_nodes(self):
         # a source that returns a Python scalar loads the bits of one that fills the nodes
         basis = build_basis(2.0, 6)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,11 +12,13 @@ from jmgt_lab import (
     ConfigFileError,
     NonFiniteNormError,
     SolverConfig,
+    SingularStepMatrixError,
     build_basis,
     cli,
     constant_field,
     nonlinear,
     solve_smgt_linear,
+    solve_westervelt_linearized,
 )
 from jmgt_lab.cli import main, mms_study, limit_study, run
 from jmgt_lab.config import parse_config, parse_config_text
@@ -576,6 +580,121 @@ class TestSweepBatches:
         # members after tau = 0.03 stop with it in the window of rounds 4 and 5, whose
         # round 5 tau = 0.1 keeps, and tau = 0.1 runs on to converge at 13
         assert batch_sizes == [(5, 1), (5, 2), (5, 2), (1, 10)]
+
+
+class TestMmsBatches:
+    """Each system's refinement levels are one batch, failing and freed as lone runs would."""
+
+    CONFIG = config_with(dt=0.05, t_final=0.5, n_modes=4, mms_levels=3)
+
+    def test_every_level_equals_its_lone_run(self, monkeypatch):
+        batches = []  # (order, source, trajectories coarsest first) of each batch
+        prepare, original = cli._prepare_data, cli._integrate
+
+        def spy_prepare(order, members, basis, f, *args):
+            batches.append((order, f))
+            return prepare(order, members, basis, f, *args)
+
+        def spy(*args):
+            results = original(*args)
+            batches[-1] += ([traj for traj, _ in reversed(results)],)
+            return results
+
+        monkeypatch.setattr(cli, "_prepare_data", spy_prepare)
+        monkeypatch.setattr(cli, "_integrate", spy)
+        config = parse_config_text(self.CONFIG)
+        basis = build_basis(config.length, config.solver.n_modes)
+        rows, finest = mms_study(config)
+        solves = {3: solve_smgt_linear, 2: solve_westervelt_linearized}
+        assert [order for order, _, _ in batches] == [3, 2]
+        for (order, source, levels), block in zip(batches, (rows[:3], rows[3:])):
+            for level, (traj, row) in enumerate(zip(levels, block, strict=True)):
+                lone_config = replace(config.solver, dt=config.solver.dt / 2**level)
+                field = constant_field(1.0)
+                lone = solves[order](config.params, basis, field, source, None, lone_config)
+                assert row.dt == lone_config.dt
+                assert np.array_equal(traj.times, lone.times)
+                for name in ("coeff", "coeff_t", "coeff_tt", "coeff_ttt"):
+                    assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
+        for name in ("times", "coeff", "coeff_t", "coeff_tt", "coeff_ttt"):
+            assert np.array_equal(getattr(finest, name), getattr(batches[0][2][-1], name))
+
+    @pytest.mark.parametrize(
+        "solve, poisoned",
+        [
+            (solve_smgt_linear, (1,)),
+            (solve_smgt_linear, (2, 1)),
+            (solve_westervelt_linearized, (2,)),
+        ],
+    )
+    def test_a_singular_level_fails_as_its_lone_run(self, monkeypatch, solve, poisoned):
+        # the BDF2 step matrix of each poisoned level cannot be inverted: the coarsest such
+        # level fails with its lone run's step, time and cause, and a smgt failure stops
+        # the study before any westervelt level runs
+        config = parse_config_text(self.CONFIG)
+        basis = build_basis(config.length, config.solver.n_modes)
+        original = np.linalg.inv
+        seen = []
+
+        def spy(a):
+            seen.append(a.copy())
+            return original(a)
+
+        def lone(level):
+            level_config = replace(config.solver, dt=config.solver.dt / 2**level)
+            return solve(config.params, basis, constant_field(1.0), None, None, level_config)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        for level in poisoned:
+            lone(level)
+        # each lone run inverts its startup, then its BDF2 matrix, as a stack of one
+        targets = [stack[0] for stack in seen[1::2]]
+
+        def poisoned_inv(a):
+            if any(np.array_equal(m, t) for m in a.reshape(-1, *a.shape[-2:]) for t in targets):
+                raise np.linalg.LinAlgError("poisoned")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "inv", poisoned_inv)
+        with pytest.raises(SingularStepMatrixError) as expected:
+            lone(min(poisoned))
+        orders = []
+        integrate = cli._integrate
+
+        def counted(order, *args):
+            orders.append(order)
+            return integrate(order, *args)
+
+        monkeypatch.setattr(cli, "_integrate", counted)
+        with pytest.raises(SingularStepMatrixError) as info:
+            mms_study(config)
+        assert (info.value.step, info.value.time) == (expected.value.step, expected.value.time)
+        assert info.value.step == 2
+        assert type(info.value.__cause__) is np.linalg.LinAlgError
+        assert str(info.value.__cause__) == str(expected.value.__cause__) == "poisoned"
+        assert orders == ([3] if solve is solve_smgt_linear else [3, 2])
+
+    def test_the_smgt_batch_is_freed_before_the_westervelt_batch_steps(self, monkeypatch):
+        batches, live = [], []
+        original = cli._integrate
+
+        def spy(*args):
+            gc.collect()
+            live.append(sum(batch() is not None for batch in batches))
+            results = original(*args)
+            stored = results[0][0].coeff.base
+            assert stored.ndim == 4  # the (derivative, row, column, mode) array of the loop
+            batches.append(weakref.ref(stored))
+            return results
+
+        monkeypatch.setattr(cli, "_integrate", spy)
+        rows, finest = mms_study(parse_config_text(self.CONFIG))
+        assert [row.solver for row in rows] == ["smgt"] * 3 + ["westervelt"] * 3
+        assert live == [0, 0]
+        # the returned finest smgt level is a copy, which keeps no batch alive either
+        gc.collect()
+        assert [batch() for batch in batches] == [None, None]
+        assert finest.n_steps == 40 and finest.coeff_ttt is not None
 
 
 class TestMain:

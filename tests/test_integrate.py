@@ -771,6 +771,65 @@ class TestRobustness:
         assert np.array_equal(traj.coeff_tt, lone.coeff_tt)
 
 
+class TestNestedLevels:
+    """Refinement levels of one run, stepped as one constant batch on nested grids."""
+
+    @staticmethod
+    def levels(order, params, basis, f, config, bc, count, alpha=None):
+        # the levels config.dt / 2**l, l < count, as one batch as ``mms`` builds it: one row
+        # per level, finest first, reading every 2**(count - 1 - l)-th load of the finest grid
+        finest = replace(config, dt=config.dt / 2 ** (count - 1))
+        members, quad, loads = _prepare_data(order, [params], basis, f, None, finest, bc)
+        if alpha is None:
+            alpha = np.ones((1, finest.n_steps + 1, quad.count))
+        strides = 2 ** np.arange(count)
+        nested = np.zeros((count, finest.n_steps + 1, basis.n))
+        for row, stride in enumerate(strides):
+            nested[row, : finest.n_steps // stride + 1] = loads[0, ::stride]
+        masses = TimeVaryingMass(basis, quad, alpha)
+        return _integrate(order, members * count, basis, masses, nested, finest, bc, 1, strides)
+
+    @pytest.mark.parametrize("count", [2, 5])
+    @pytest.mark.parametrize("bc", [BoundaryKind.PURE_NEUMANN, BoundaryKind.MIXED])
+    @pytest.mark.parametrize(
+        "order, solve", [(3, solve_smgt_linear), (2, solve_westervelt_linearized)]
+    )
+    def test_every_level_equals_its_lone_run(self, order, solve, bc, count):
+        basis = build_basis(L, 6)
+        config = SolverConfig(dt=0.1, t_final=0.5, n_modes=6)
+        beta = 0.5 if bc is BoundaryKind.MIXED else 0.0
+        params = ModelParams(c2=1.0, delta=1.0, tau=0.1, beta=beta)
+        source = smgt_forcing(params)
+        results = self.levels(order, params, basis, source, config, bc, count)
+        finest = results[0][0]
+        for row, (traj, failure) in enumerate(results):
+            level = count - 1 - row
+            lone_config = replace(config, dt=config.dt / 2**level)
+            lone = solve(params, basis, constant_field(1.0), source, None, lone_config, bc)
+            assert failure is None
+            assert traj.params == lone.params
+            assert np.array_equal(traj.times, lone.times)
+            # level l reads every 2**(count - 1 - l)-th time of the finest grid
+            assert np.array_equal(traj.times, finest.times[:: 2**row])
+            for name in ("coeff", "coeff_t", "coeff_tt"):
+                assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
+            if order == 3:
+                assert np.array_equal(traj.coeff_ttt, lone.coeff_ttt)
+            else:
+                assert traj.coeff_ttt is None and lone.coeff_ttt is None
+            # a row leaves the loop at its horizon: nothing is stored past its last step
+            stored = traj.coeff.base
+            assert not stored[:, row, traj.n_steps + 2 :].any()
+
+    def test_a_changing_mass_keeps_one_grid(self):
+        basis = build_basis(L, 4)
+        config = SolverConfig(dt=0.1, t_final=0.5, n_modes=4)
+        params = ModelParams(c2=1.0, delta=1.0, tau=0.1)
+        alpha = 1.0 + config.times[None, :, None] * np.ones((1, 1, 16)) / 8.0
+        with pytest.raises(ValueError, match="nested grids"):
+            self.levels(3, params, basis, None, config, BoundaryKind.PURE_NEUMANN, 2, alpha)
+
+
 class TestWesterveltSnapshot:
     def test_tau_reset_in_stored_params(self):
         basis = build_basis(L, 4)
